@@ -19,8 +19,8 @@ from inputs import title_vector
 
 class EmbeddingEndpoint:
     def __init__(self, titles: set[str], dim: int):
-        self.dim = dim
-        self.fragments = {t: self._render(t) for t in titles}
+        self.vectors = {t: title_vector(t, dim) for t in titles}
+        self.fragments = {t: self._render(v) for t, v in self.vectors.items()}
         self.requests = 0
         self.titles_served = 0
         self.refused = 0
@@ -58,9 +58,9 @@ class EmbeddingEndpoint:
         self.url = f"http://{host}:{port}/v1/embeddings"
         self.refuse_url = f"http://{host}:{port}/refuse"
 
-    def _render(self, title: str) -> str:
-        values = ", ".join(repr(float(x)) for x in title_vector(title, self.dim))
-        return f'"embedding": [{values}]'
+    @staticmethod
+    def _render(vector) -> str:
+        return f'"embedding": {json.dumps(vector.tolist())}'
 
     def close(self) -> None:
         self.server.shutdown()

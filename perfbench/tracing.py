@@ -204,8 +204,8 @@ class _Spans:
                    if s["parent"] in cached)
         return _ratio(sent, sum(1 for s in gets if not s.get("hit")))
 
-    def request_ms(self) -> list[float]:
-        return [1e3 * (s["end"] - s["start"]) for s in self.of("embeddings._post_json")]
+    def durations_ms(self, name: str) -> list[float]:
+        return [1e3 * (s["end"] - s["start"]) for s in self.of(name)]
 
 
 def _ratio(num: float, den: float) -> float:
@@ -225,8 +225,10 @@ LAYER_METRICS = {
     "embeddings.requests": lambda t: t.count("embeddings._post_json"),
     "embeddings.titles_sent": lambda t: t.attr("embeddings._embed_batch", "titles"),
     "embeddings.titles_sent_per_miss": lambda t: t.titles_per_miss(),
-    "embeddings.request_p50_ms": lambda t: percentile(t.request_ms(), 0.50),
-    "embeddings.request_p95_ms": lambda t: percentile(t.request_ms(), 0.95),
+    "embeddings.request_p50_ms": lambda t: percentile(t.durations_ms("embeddings._post_json"),
+                                                       0.50),
+    "embeddings.request_p95_ms": lambda t: percentile(t.durations_ms("embeddings._post_json"),
+                                                       0.95),
     "embeddings.cache_put_s": lambda t: t.total("embeddings.VectorCache.put"),
     "embeddings.cache_puts": lambda t: t.count("embeddings.VectorCache.put"),
     "embeddings.save_matrix_s": lambda t: t.total("embeddings.save_matrix"),
@@ -263,6 +265,7 @@ LAYER_METRICS = {
     "ranking.score_flops": lambda t: t.attr("ranking.evaluate", "flops"),
     "ranking.recommend_topk_s": lambda t: t.total("ranking.recommend_topk"),
     "ranking.requests": lambda t: t.count("ranking.recommend_topk"),
+    "ranking.request_p50_ms": lambda t: percentile(t.durations_ms("ranking.recommend_topk"), 0.50),
     "ranking.baseline_pop_s": lambda t: t.total("ranking.baseline_pop"),
     "ranking.baseline_random_s": lambda t: t.total("ranking.baseline_random"),
 }
