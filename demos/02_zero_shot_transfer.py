@@ -13,7 +13,7 @@ from textgcn.corpus import merge_corpora
 from textgcn.embeddings import mock_embed
 from textgcn.ranking import baseline_pop, baseline_random
 from textgcn.synthetic import SyntheticConfig, generate_clustered_split
-from textgcn.training import TrainConfig, apply_zero_shot, train_joint
+from textgcn.training import TrainConfig, apply_zero_shot, train
 
 EMB_DIM = 64
 MOCK_SEED = 7
@@ -39,7 +39,7 @@ print(f"merged graph: {corpus.n_users} users x {corpus.n_items} items "
 cfg = TrainConfig(lr=5e-4, d_out=32, n_layers=2, neg_samples=64,
                   temperature=0.15, batch_users=64, patience=20,
                   max_epochs=200, seed=2)
-params, log, _ = train_joint(corpus, np.vstack([emb_a, emb_b]), cfg)
+params, log, _ = train(corpus, np.vstack([emb_a, emb_b]), cfg)
 print(f"joint training: {len(log.epochs)} epochs, best mean val recall "
       f"{log.best_val_recall:.4f}\n")
 

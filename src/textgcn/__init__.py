@@ -22,4 +22,4 @@ from .search import SearchSpace, TrialRecord, TrialStore, greedy_stage, grid_sta
 from .synthetic import SyntheticConfig, generate_clustered_split
 from .tower import (AdamState, MlpParams, TwoTowerParams, adam_step, load_checkpoint,
                     mlp_backward, mlp_forward, save_checkpoint)
-from .training import TrainConfig, TrainLog, apply_zero_shot, train, train_joint
+from .training import TrainConfig, TrainLog, apply_zero_shot, train

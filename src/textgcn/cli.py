@@ -20,26 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, embeddings, search, synthetic
-from .corpus import DatasetSplit, interaction_quantile, load_split, merge_corpora, save_split
+from .corpus import MergedCorpus, interaction_quantile, load_split, merge_corpora, save_split
 from .diffusion import diffuse
 from .errors import DataError
 from .ranking import baseline_pop, baseline_random, evaluate, recommend_topk
 from .tower import load_checkpoint, save_checkpoint
 from .training import (TrainConfig, ablation_variants, apply_zero_shot,
-                       evaluate_per_part, project, train, train_joint)
-
-_THREAD_LIMIT = None  # keeps the threadpoolctl controller alive
-
-
-def _limit_threads(n: int | None) -> None:
-    global _THREAD_LIMIT
-    if n is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        _THREAD_LIMIT = threadpool_limits(limits=n)
-    except ImportError:
-        os.environ.setdefault("OMP_NUM_THREADS", str(n))
+                       evaluate_per_part, project, train)
 
 
 def _sha256(path: Path) -> str:
@@ -121,8 +108,30 @@ def _train_config(args, file_cfg: dict) -> TrainConfig:
     return replace(TrainConfig(), **overrides)
 
 
-def _load_datasets(paths: list[str]) -> list[DatasetSplit]:
-    return [load_split(p) for p in paths]
+def _load_rows(path: str, expected_ids: list[str]) -> np.ndarray:
+    """Load a .tge whose rows must follow ``expected_ids``.
+
+    The row count must match; when the ``.ids`` sidecar exists, its IDs
+    must be ``expected_ids`` in the same order.
+    """
+    matrix = embeddings.load_matrix(path)
+    if matrix.shape[0] != len(expected_ids):
+        raise DataError(f"{path}: embedding rows {matrix.shape[0]} != "
+                        f"expected {len(expected_ids)}")
+    if Path(str(path) + ".ids").exists() and embeddings.load_ids(path) != expected_ids:
+        raise DataError(f"{path}: .ids sidecar does not follow the dataset's ID order")
+    return matrix
+
+
+def _load_corpus(dataset_paths: list[str],
+                 emb_paths: list[str]) -> tuple[MergedCorpus, np.ndarray]:
+    """Merge one or more datasets and stack their item embeddings in part order."""
+    if len(emb_paths) != len(dataset_paths):
+        raise DataError("need one --embeddings file per --dataset")
+    splits = [load_split(p) for p in dataset_paths]
+    item_emb = np.vstack([_load_rows(p, s.maps.item_ids)
+                          for p, s in zip(emb_paths, splits)])
+    return merge_corpora(splits), item_emb
 
 
 def cmd_ingest(args) -> int:
@@ -147,6 +156,7 @@ def cmd_ingest(args) -> int:
     print(f"interactions: train={train_m.n_interactions} "
           f"val={split.val.n_interactions} test={split.test.n_interactions}")
     print(f"dropped (no train history): val={split.dropped_val} test={split.dropped_test}")
+    print(f"duplicates dropped: {split.duplicates}")
     print("train degree quantiles: "
           + "  ".join(f"q{int(q * 100)}={v}" for q, v in quantiles.items()))
     return 0
@@ -196,10 +206,7 @@ def cmd_embed(args) -> int:
 
 def cmd_diffuse(args) -> int:
     split = load_split(args.dataset)
-    item_emb = embeddings.load_matrix(args.embeddings)
-    if item_emb.shape[0] != split.train.n_items:
-        raise DataError(f"embedding rows {item_emb.shape[0]} != items "
-                        f"{split.train.n_items}")
+    item_emb = _load_rows(args.embeddings, split.maps.item_ids)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = diffuse(split.train, item_emb, args.layers)
@@ -214,22 +221,14 @@ def cmd_diffuse(args) -> int:
     return 0
 
 
-def _run_one_training(splits, emb_paths, cfg: TrainConfig, out: Path, inputs):
-    item_embs = [embeddings.load_matrix(p) for p in emb_paths]
-    if len(splits) == 1:
-        params, log, diff = train(splits[0], item_embs[0], cfg)
-        sources = [splits[0].name]
-        user_out, item_out = project(params, diff.user_final, diff.item_final)
-        test_recall = evaluate(splits[0], user_out, item_out, k=cfg.eval_k,
-                               part="test", model="textgcn-mlp").recall
-    else:
-        corpus = merge_corpora(splits)
-        params, log, diff = train_joint(corpus, np.vstack(item_embs), cfg)
-        sources = [s.name for s in splits]
-        user_out, item_out = project(params, diff.user_final, diff.item_final)
-        reports = evaluate_per_part(corpus, user_out, item_out, cfg.eval_k,
-                                    "test", "textgcn-mlp")
-        test_recall = float(np.mean([r.recall for r in reports]))
+def _run_one_training(corpus: MergedCorpus, item_emb: np.ndarray, cfg: TrainConfig,
+                      out: Path, inputs):
+    params, log, diff = train(corpus, item_emb, cfg)
+    sources = [s.name for s in corpus.parts]
+    user_out, item_out = project(params, diff.user_final, diff.item_final)
+    reports = evaluate_per_part(corpus, user_out, item_out, cfg.eval_k,
+                                "test", "textgcn-mlp")
+    test_recall = float(np.mean([r.recall for r in reports]))
     # the checkpoint manifest doubles as the run manifest
     meta = {"command": "train", "train_config": asdict(cfg), "sources": sources,
             "best_epoch": log.best_epoch, "best_val_recall": log.best_val_recall,
@@ -244,9 +243,7 @@ def _run_one_training(splits, emb_paths, cfg: TrainConfig, out: Path, inputs):
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg = _train_config(args, file_cfg)
-    splits = _load_datasets(args.dataset)
-    if len(args.embeddings) != len(args.dataset):
-        raise DataError("need one --embeddings file per --dataset")
+    corpus, item_emb = _load_corpus(args.dataset, args.embeddings)
     out = Path(args.out)
     inputs = {f"dataset{i}": Path(p) for i, p in enumerate(args.dataset)}
     inputs.update({f"embeddings{i}": Path(p) for i, p in enumerate(args.embeddings)})
@@ -255,7 +252,7 @@ def cmd_train(args) -> int:
         rows = []
         for label, variant_cfg in ablation_variants(cfg):
             vdir = out / label.replace("/", "_")
-            _, log, test_recall = _run_one_training(splits, args.embeddings,
+            _, log, test_recall = _run_one_training(corpus, item_emb,
                                                     variant_cfg, vdir, inputs)
             rows.append((label, log.best_val_recall, test_recall, log.best_epoch))
         table = "variant\tval_recall\ttest_recall\tbest_epoch\n" + "".join(
@@ -266,7 +263,7 @@ def cmd_train(args) -> int:
         _write_manifest(out, "train",
                         {"train_config": asdict(cfg), "ablation": True}, inputs)
     else:
-        _, log, test_recall = _run_one_training(splits, args.embeddings, cfg,
+        _, log, test_recall = _run_one_training(corpus, item_emb, cfg,
                                                 out, inputs)
         print(f"best epoch {log.best_epoch}: val recall {log.best_val_recall:.6f} "
               f"test recall {test_recall:.6f} ({log.stop_reason})")
@@ -282,14 +279,14 @@ def cmd_evaluate(args) -> int:
         report = baseline_pop(split, k=k, part=args.part)
     elif args.model == "textgcn":
         if args.user_emb and args.item_emb:
-            user_out = embeddings.load_matrix(args.user_emb)
-            item_out = embeddings.load_matrix(args.item_emb)
+            user_out = _load_rows(args.user_emb, split.maps.user_ids)
+            item_out = _load_rows(args.item_emb, split.maps.item_ids)
             report = evaluate(split, user_out, item_out, k=k, part=args.part,
                               model="textgcn")
         elif args.embeddings:
             layers = args.layers if args.layers is not None else 2
             report = apply_zero_shot(None, split,
-                                     embeddings.load_matrix(args.embeddings),
+                                     _load_rows(args.embeddings, split.maps.item_ids),
                                      layers, k=k, part=args.part)
         else:
             raise DataError("evaluate --model textgcn needs --embeddings or "
@@ -302,7 +299,7 @@ def cmd_evaluate(args) -> int:
         if layers is None:
             layers = int(meta.get("train_config", {}).get("n_layers", 2))
         report = apply_zero_shot(params, split,
-                                 embeddings.load_matrix(args.embeddings),
+                                 _load_rows(args.embeddings, split.maps.item_ids),
                                  layers, k=k, part=args.part)
     else:
         raise DataError(f"unknown model tag {args.model!r}")
@@ -326,19 +323,13 @@ def cmd_evaluate(args) -> int:
 def cmd_tune(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg = _train_config(args, file_cfg)
-    splits = _load_datasets(args.dataset)
-    emb = [embeddings.load_matrix(p) for p in args.embeddings]
-    if len(emb) != len(splits):
-        raise DataError("need one --embeddings file per --dataset")
+    corpus, item_emb = _load_corpus(args.dataset, args.embeddings)
     store = search.TrialStore(args.records)
     known = {f.name for f in fields(TrainConfig)}
 
     def runner(overrides: dict) -> float:
         trial_cfg = replace(cfg, **{k: v for k, v in overrides.items() if k in known})
-        if len(splits) == 1:
-            _, log, _ = train(splits[0], emb[0], trial_cfg)
-        else:
-            _, log, _ = train_joint(merge_corpora(splits), np.vstack(emb), trial_cfg)
+        _, log, _ = train(corpus, item_emb, trial_cfg)
         return log.best_val_recall
 
     # sweep defaults come from the resolved run config, so flags like
@@ -374,7 +365,7 @@ def cmd_tune(args) -> int:
 
 def cmd_recommend(args) -> int:
     split = load_split(args.dataset)
-    item_emb = embeddings.load_matrix(args.embeddings)
+    item_emb = _load_rows(args.embeddings, split.maps.item_ids)
     layers = args.layers if args.layers is not None else 2
     diff = diffuse(split.train, item_emb, layers)
     if args.checkpoint:
@@ -392,8 +383,8 @@ def cmd_recommend(args) -> int:
         u = split.maps.user_to_dense[ext]
         if split.train.user_degrees[u] == 0:
             raise DataError(f"user {ext!r} has no training history")
-        ranking = recommend_topk(user_out[u], item_out,
-                                 set(split.train.items_of(u).tolist()), args.k, user=u)
+        ranking = recommend_topk(user_out[u], item_out, split.train.items_of(u),
+                                 args.k, user=u)
         items = "\t".join(split.maps.item_ids[i] for i in ranking.items)
         lines.append(f"{ext}\t{items}")
     text = "\n".join(lines) + "\n"
@@ -414,18 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="textgcn",
         description="Graph-diffused text-embedding recommender pipelines")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap internal thread pools")
     sub = parser.add_subparsers(dest="command", required=True)
-    original_add_parser = sub.add_parser
-
-    def add_parser(*args, **kwargs):
-        p = original_add_parser(*args, **kwargs)
-        p.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                       help="cap internal thread pools")
-        return p
-
-    sub.add_parser = add_parser
 
     p = sub.add_parser("ingest", help="validate a dataset directory or generate one")
     p.add_argument("--dataset", default=None)
@@ -507,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _limit_threads(args.threads)
     try:
         return args.func(args)
     except (DataError, FileNotFoundError) as err:

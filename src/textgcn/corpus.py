@@ -20,8 +20,6 @@ TRAIN_FILE = "train.txt"
 VAL_FILE = "val.txt"
 TEST_FILE = "test.txt"
 TITLES_FILE = "titles.tsv"
-USER_IDS_FILE = "user_ids.txt"
-ITEM_IDS_FILE = "item_ids.txt"
 
 
 class IdMaps:
@@ -59,26 +57,6 @@ class IdMaps:
     @property
     def n_items(self) -> int:
         return len(self.item_ids)
-
-    def save(self, directory: str | Path) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / USER_IDS_FILE).write_text(
-            "".join(f"{u}\n" for u in self.user_ids), encoding="utf-8"
-        )
-        (directory / ITEM_IDS_FILE).write_text(
-            "".join(f"{i}\n" for i in self.item_ids), encoding="utf-8"
-        )
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "IdMaps":
-        directory = Path(directory)
-        maps = cls()
-        for ext in (directory / USER_IDS_FILE).read_text(encoding="utf-8").splitlines():
-            maps.user_index(ext)
-        for ext in (directory / ITEM_IDS_FILE).read_text(encoding="utf-8").splitlines():
-            maps.item_index(ext)
-        return maps
 
 
 class InteractionMatrix:
@@ -134,19 +112,10 @@ class InteractionMatrix:
     def items_of(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
-    def contains(self, u: int, i: int) -> bool:
-        row = self.items_of(u)
-        pos = np.searchsorted(row, i)
-        return pos < len(row) and row[pos] == i
-
     def pair_keys(self) -> np.ndarray:
         """Each stored (u, i) encoded as u * n_items + i; sorted ascending."""
         users = np.repeat(np.arange(self.n_users, dtype=np.int64), self.user_degrees)
         return users * self.n_items + self.indices
-
-    def pairs(self) -> set[tuple[int, int]]:
-        users = np.repeat(np.arange(self.n_users, dtype=np.int64), self.user_degrees)
-        return set(zip(users.tolist(), self.indices.tolist()))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -186,6 +155,7 @@ class DatasetSplit:
     catalog: ItemCatalog
     dropped_val: int = 0
     dropped_test: int = 0
+    duplicates: int = 0    # repeated (user, item) pairs dropped while parsing
 
 
 @dataclass
@@ -313,16 +283,17 @@ def load_split(directory: str | Path, name: str | None = None) -> DatasetSplit:
     Enforces the split invariants: (u, i) pairs must be disjoint across
     parts, every interaction item must have a title, and val/test
     interactions of users without training history are dropped (counted in
-    ``dropped_val`` / ``dropped_test``).
+    ``dropped_val`` / ``dropped_test``). Repeated pairs within a file are
+    dropped and counted in ``duplicates``.
     """
     directory = Path(directory)
     for fname in (TRAIN_FILE, VAL_FILE, TEST_FILE, TITLES_FILE):
         if not (directory / fname).exists():
             raise DataError(f"missing file: {directory / fname}")
     maps = IdMaps()
-    train, _, _ = parse_interactions(directory / TRAIN_FILE, maps, allow_empty=True)
-    val, _, _ = parse_interactions(directory / VAL_FILE, maps, allow_empty=True)
-    test, _, _ = parse_interactions(directory / TEST_FILE, maps, allow_empty=True)
+    train, _, dup_train = parse_interactions(directory / TRAIN_FILE, maps, allow_empty=True)
+    val, _, dup_val = parse_interactions(directory / VAL_FILE, maps, allow_empty=True)
+    test, _, dup_test = parse_interactions(directory / TEST_FILE, maps, allow_empty=True)
     if train.n_interactions + val.n_interactions + test.n_interactions == 0:
         raise DataError(f"{directory}: empty corpus")
     titles_by_idx = read_titles(directory / TITLES_FILE, maps)
@@ -362,6 +333,7 @@ def load_split(directory: str | Path, name: str | None = None) -> DatasetSplit:
         catalog=catalog,
         dropped_val=dropped_val,
         dropped_test=dropped_test,
+        duplicates=dup_train + dup_val + dup_test,
     )
 
 
@@ -397,17 +369,16 @@ def merge_corpora(splits: list[DatasetSplit]) -> MergedCorpus:
     """
     if not splits:
         raise DataError("merge_corpora requires at least one split")
-    user_offsets = [0]
-    item_offsets = [0]
+    user_offsets, item_offsets = [0], [0]
+    indptrs, indices, nnz = [np.zeros(1, dtype=np.int64)], [], 0
     for s in splits:
+        indptrs.append(s.train.indptr[1:] + nnz)
+        indices.append(s.train.indices + item_offsets[-1])
+        nnz += s.train.n_interactions
         user_offsets.append(user_offsets[-1] + s.train.n_users)
         item_offsets.append(item_offsets[-1] + s.train.n_items)
-    rows: list[list[int]] = []
-    for p, s in enumerate(splits):
-        off = item_offsets[p]
-        for u in range(s.train.n_users):
-            rows.append([off + int(i) for i in s.train.items_of(u)])
-    train = InteractionMatrix.from_rows(user_offsets[-1], item_offsets[-1], rows)
+    train = InteractionMatrix(user_offsets[-1], item_offsets[-1],
+                              np.concatenate(indptrs), np.concatenate(indices))
     return MergedCorpus(parts=list(splits), user_offsets=user_offsets,
                         item_offsets=item_offsets, train=train)
 

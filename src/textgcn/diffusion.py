@@ -14,7 +14,7 @@ bit-identical on one platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,14 +86,12 @@ class DiffusionOutput:
     zero_degree_users: np.ndarray
     zero_degree_items: np.ndarray
     n_layers: int
-    layers: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 def diffuse(
     train: InteractionMatrix,
     item_emb: np.ndarray,
     n_layers: int,
-    retain_layers: bool = False,
 ) -> DiffusionOutput:
     """Full pipeline: layer 0 init, L propagation steps, average of layers 0..L.
 
@@ -110,13 +108,10 @@ def diffuse(
     user_acc = user0.copy()
     item_acc = item_emb.copy()
     user_l, item_l = user0, item_emb
-    kept = [(user0, item_emb)] if retain_layers else []
     for _ in range(n_layers):
         user_l, item_l = propagate(graph, user_l, item_l)
         user_acc += user_l
         item_acc += item_l
-        if retain_layers:
-            kept.append((user_l, item_l))
     scale = np.float32(n_layers + 1)
     return DiffusionOutput(
         user_final=user_acc / scale,
@@ -124,5 +119,4 @@ def diffuse(
         zero_degree_users=user_flags,
         zero_degree_items=item_flags,
         n_layers=n_layers,
-        layers=kept,
     )

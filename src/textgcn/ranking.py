@@ -78,6 +78,14 @@ def _topk_within(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarr
     return candidates[order]
 
 
+def _candidates(n_items: int, exclude: set[int] | np.ndarray) -> np.ndarray:
+    """Ascending indices of the items not in ``exclude``."""
+    keep = np.ones(n_items, dtype=bool)
+    keep[np.asarray(list(exclude) if isinstance(exclude, set) else exclude,
+                    dtype=np.int64)] = False
+    return np.flatnonzero(keep)
+
+
 def recommend_topk(user_vec: np.ndarray, item_emb: np.ndarray,
                    exclude: set[int] | np.ndarray, k: int,
                    user: int | None = None) -> Ranking:
@@ -95,11 +103,7 @@ def recommend_topk(user_vec: np.ndarray, item_emb: np.ndarray,
     item_unit, _ = unit_rows(item_emb)
     scores = item_unit @ (user_vec / norm)
 
-    excluded = np.zeros(len(scores), dtype=bool)
-    exclude_arr = np.asarray(sorted(exclude) if isinstance(exclude, set) else exclude,
-                             dtype=np.int64)
-    excluded[exclude_arr] = True
-    candidates = np.flatnonzero(~excluded)
+    candidates = _candidates(len(scores), exclude)
     truncated = len(candidates) < k
     top = _topk_within(scores, candidates, k)
     return Ranking(items=top, scores=scores[top], truncated=truncated, user=user)
@@ -156,28 +160,21 @@ def _part_matrix(split: DatasetSplit, part: str) -> InteractionMatrix:
     return split.val if part == "val" else split.test
 
 
-def evaluate(split: DatasetSplit, user_emb: np.ndarray, item_emb: np.ndarray,
-             k: int = 20, part: str = "test", model: str = "textgcn",
-             block: int = 512) -> MetricsReport:
-    """Rank every evaluable user's candidates and average the three metrics.
+def _score_users(split: DatasetSplit, k: int, part: str, model: str,
+                 score_block, block: int = 512) -> MetricsReport:
+    """Rank-and-score loop shared by evaluate and the baselines.
 
-    A user is evaluable with >= 1 relevant item in the chosen part and
-    >= 1 training interaction. Candidate scores come from the cosine of
-    the supplied embeddings; the user's train items are excluded and the
-    exclusion is asserted on every ranking.
+    score_block(users) returns a writable (len(users), n_items) score
+    array. Each user's candidates are the items with a finite score once
+    their train items are masked to -inf.
     """
     target = _part_matrix(split, part)
     train = split.train
-    if user_emb.shape[0] != train.n_users or item_emb.shape[0] != train.n_items:
-        raise DataError("embedding row counts do not match the split")
-    user_unit, _ = unit_rows(user_emb)
-    item_unit, _ = unit_rows(item_emb)
-
     eligible = np.flatnonzero((target.user_degrees > 0) & (train.user_degrees > 0))
     per_user: list[tuple[float, float, float]] = []
     for start in range(0, len(eligible), block):
         batch = eligible[start:start + block]
-        scores = user_unit[batch] @ item_unit.T
+        scores = score_block(batch)
         for row, u in enumerate(batch):
             train_items = train.items_of(int(u))
             s = scores[row]
@@ -192,51 +189,46 @@ def evaluate(split: DatasetSplit, user_emb: np.ndarray, item_emb: np.ndarray,
     return _aggregate(split.name, model, k, per_user)
 
 
-def _evaluate_fixed_rankings(split: DatasetSplit, k: int, part: str, model: str,
-                             rank_user) -> MetricsReport:
-    """Shared driver for baselines: rank_user(u, train_items) -> item array."""
-    target = _part_matrix(split, part)
+def evaluate(split: DatasetSplit, user_emb: np.ndarray, item_emb: np.ndarray,
+             k: int = 20, part: str = "test", model: str = "textgcn",
+             block: int = 512) -> MetricsReport:
+    """Rank every evaluable user's candidates and average the three metrics.
+
+    A user is evaluable with >= 1 relevant item in the chosen part and
+    >= 1 training interaction. Candidate scores come from the cosine of
+    the supplied embeddings; the user's train items are excluded and the
+    exclusion is asserted on every ranking.
+    """
     train = split.train
-    eligible = np.flatnonzero((target.user_degrees > 0) & (train.user_degrees > 0))
-    per_user: list[tuple[float, float, float]] = []
-    for u in eligible:
-        train_items = train.items_of(int(u))
-        top = rank_user(int(u), train_items)[:k]
-        _check_exclusion(top, train_items)
-        relevant = set(target.items_of(int(u)).tolist())
-        per_user.append((recall_at_k(top, relevant),
-                         ndcg_at_k(top, relevant, k),
-                         hr_at_k(top, relevant)))
-    return _aggregate(split.name, model, k, per_user)
+    if user_emb.shape[0] != train.n_users or item_emb.shape[0] != train.n_items:
+        raise DataError("embedding row counts do not match the split")
+    user_unit, _ = unit_rows(user_emb)
+    item_unit, _ = unit_rows(item_emb)
+    return _score_users(split, k, part, model,
+                        lambda users: user_unit[users] @ item_unit.T, block)
 
 
 def baseline_random(split: DatasetSplit, k: int = 20, seed: int = 0,
                     part: str = "test") -> MetricsReport:
     """Uniformly random permutation of each user's candidates, seeded per user."""
-    n_items = split.train.n_items
+    train = split.train
+    # the candidate at position j of the user's permutation scores -j, so
+    # the top k are the permutation's first k
+    positions = np.arange(train.n_items, dtype=np.float64)
 
-    def rank_user(u: int, train_items: np.ndarray) -> np.ndarray:
-        mask = np.ones(n_items, dtype=bool)
-        mask[train_items] = False
-        candidates = np.flatnonzero(mask)
-        rng = np.random.default_rng((seed, u))
-        return rng.permutation(candidates)
+    def score_block(users: np.ndarray) -> np.ndarray:
+        scores = np.full((len(users), train.n_items), -np.inf)
+        for row, u in enumerate(users.tolist()):
+            order = np.random.default_rng((seed, u)).permutation(
+                _candidates(train.n_items, train.items_of(u)))
+            scores[row, order] = -positions[:len(order)]
+        return scores
 
-    return _evaluate_fixed_rankings(split, k, part, "random", rank_user)
+    return _score_users(split, k, part, "random", score_block)
 
 
 def baseline_pop(split: DatasetSplit, k: int = 20, part: str = "test") -> MetricsReport:
     """Most train-popular items first (ties by ascending index), minus train items."""
-    degrees = split.train.item_degrees
-    global_order = np.lexsort((np.arange(len(degrees)), -degrees))
-
-    def rank_user(u: int, train_items: np.ndarray) -> np.ndarray:
-        exclude = set(train_items.tolist())
-        return np.asarray([i for i in global_order if int(i) not in exclude][:k])
-
-    return _evaluate_fixed_rankings(split, k, part, "pop", rank_user)
-
-
-def pop_order(train: InteractionMatrix) -> np.ndarray:
-    """Global popularity ranking of all items (train counts desc, index asc)."""
-    return np.lexsort((np.arange(train.n_items), -train.item_degrees))
+    degrees = split.train.item_degrees.astype(np.float64)
+    return _score_users(split, k, part, "pop",
+                        lambda users: np.tile(degrees, (len(users), 1)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .contrast import SamplerConfig, kcl_loss, localize_batch, sample_batch
-from .corpus import DatasetSplit, MergedCorpus, interaction_quantile
+from .corpus import DatasetSplit, MergedCorpus, interaction_quantile, merge_corpora
 from .diffusion import DiffusionOutput, diffuse
 from .errors import DataError
 from .ranking import MetricsReport, evaluate
@@ -178,21 +178,6 @@ def _run_loop(train, diff: DiffusionOutput, cfg: TrainConfig,
     return best_params, log
 
 
-def train(split: DatasetSplit, item_emb: np.ndarray,
-          cfg: TrainConfig) -> tuple[TwoTowerParams, TrainLog, DiffusionOutput]:
-    """In-domain training; returns best-epoch towers, the log, and the frozen diffusion."""
-    diff = diffuse(split.train, item_emb, cfg.n_layers)
-
-    def eval_fn(params: TwoTowerParams) -> float:
-        user_out, item_out = project(params, diff.user_final, diff.item_final)
-        report = evaluate(split, user_out, item_out, k=cfg.eval_k, part="val",
-                          model="textgcn-mlp")
-        return report.recall
-
-    params, log = _run_loop(split.train, diff, cfg, eval_fn)
-    return params, log, diff
-
-
 def evaluate_per_part(corpus: MergedCorpus, user_out: np.ndarray,
                       item_out: np.ndarray, k: int, part: str,
                       model: str) -> list[MetricsReport]:
@@ -206,15 +191,16 @@ def evaluate_per_part(corpus: MergedCorpus, user_out: np.ndarray,
     return reports
 
 
-def train_joint(corpus: MergedCorpus, item_emb: np.ndarray,
-                cfg: TrainConfig) -> tuple[TwoTowerParams, TrainLog, DiffusionOutput]:
-    """Joint training on the block-diagonal merged graph.
+def train(data: DatasetSplit | MergedCorpus, item_emb: np.ndarray,
+          cfg: TrainConfig) -> tuple[TwoTowerParams, TrainLog, DiffusionOutput]:
+    """Train the head; returns best-epoch towers, the log, and the frozen diffusion.
 
-    The model-selection metric is the unweighted mean of per-part
-    validation recalls.
+    A single split trains as a one-part corpus. Several corpora train
+    jointly on the block-diagonal merged graph, with ``item_emb`` stacked
+    in part order. The model-selection metric is the unweighted mean of
+    per-part validation recalls, which for one part is its own recall.
     """
-    if item_emb.shape[0] != corpus.n_items:
-        raise DataError("merged item embedding rows do not match the corpus")
+    corpus = merge_corpora([data]) if isinstance(data, DatasetSplit) else data
     diff = diffuse(corpus.train, item_emb, cfg.n_layers)
 
     def eval_fn(params: TwoTowerParams) -> float:

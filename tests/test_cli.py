@@ -48,6 +48,13 @@ def test_ingest_stats_output(dataset_dir, capsys):
     assert "train degree quantiles" in out
 
 
+def test_ingest_reports_duplicates(tmp_path, capsys):
+    d = write_dataset(tmp_path / "ds", ["u0 i1 i1 i2"], [], ["u0 i3"],
+                      {"i1": "a", "i2": "b", "i3": "c"})
+    assert main(["ingest", "--dataset", str(d)]) == 0
+    assert "duplicates dropped: 1" in capsys.readouterr().out
+
+
 def test_ingest_missing_titles_exit2(tmp_path, capsys):
     d = write_dataset(tmp_path / "broken", ["u1 i1"], [], ["u1 i2"],
                       {"i1": "a", "i2": "b"})
@@ -139,6 +146,25 @@ def test_diffuse_corrupted_embeddings_exit2(dataset_dir, tmp_path, capsys):
                  "--layers", "1", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "not an embedding file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["diffuse", "--out", "o"],
+    ["evaluate", "--model", "textgcn"],
+    ["recommend", "--users", "u0"],
+    ["train", "--out", "o"],
+    ["tune", "--stage", "pos", "--records", "r"],
+], ids=lambda command: command[0])
+def test_misordered_item_sidecar_exit2(command, dataset_dir, mock_embeddings,
+                                       tmp_path, capsys):
+    emb = tmp_path / "items.tge"
+    emb.write_bytes(mock_embeddings.read_bytes())
+    ids = load_split(dataset_dir).maps.item_ids
+    (tmp_path / "items.tge.ids").write_text("".join(f"{i}\n" for i in reversed(ids)))
+    argv = [command[0], "--dataset", str(dataset_dir), "--embeddings", str(emb)]
+    argv += [str(tmp_path / a) if a in ("o", "r") else a for a in command[1:]]
+    assert main(argv) == 2
+    assert ".ids sidecar" in capsys.readouterr().err
 
 
 def test_train_seeded_identical_jsonl(dataset_dir, mock_embeddings, tmp_path):
@@ -244,8 +270,13 @@ def test_ablation_flag_emits_table(dataset_dir, mock_embeddings, tmp_path):
                       "two-tower/1-pos", "two-tower/k-pos"}
 
 
-def test_threads_flag_smoke(dataset_dir):
-    assert main(["--threads", "2", "ingest", "--dataset", str(dataset_dir)]) == 0
+def test_threads_flag_rejected(dataset_dir):
+    # thread pools are sized when numpy loads; set OPENBLAS_NUM_THREADS instead
+    for argv in (["--threads", "2", "ingest", "--dataset", str(dataset_dir)],
+                 ["ingest", "--dataset", str(dataset_dir), "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_config_file_precedence(dataset_dir, mock_embeddings, tmp_path):

@@ -87,6 +87,15 @@ def test_load_split_happy(tmp_path):
     assert split.catalog.titles == ["first", "second"]
 
 
+def test_load_split_counts_duplicates(tmp_path):
+    d = write_dataset(tmp_path / "ds",
+                      train=["u0 i1 i1 i2"], val=[], test=["u0 i3"],
+                      titles={"i1": "a", "i2": "b", "i3": "c"})
+    split = load_split(d)
+    assert split.train.n_interactions == 2
+    assert split.duplicates == 1
+
+
 def test_load_split_drops_train_cold_users(tmp_path):
     d = write_dataset(tmp_path / "ds",
                       train=[], val=[], test=["u1 i1"],
@@ -195,8 +204,8 @@ def test_split_random_keeps_train_nonempty(rng):
              + split.test.n_interactions)
     assert total == full.n_interactions
     # parts disjoint
-    assert not (split.train.pairs() & split.test.pairs())
-    assert not (split.train.pairs() & split.val.pairs())
+    assert len(np.intersect1d(split.train.pair_keys(), split.test.pair_keys())) == 0
+    assert len(np.intersect1d(split.train.pair_keys(), split.val.pair_keys())) == 0
 
 
 def test_save_split_roundtrip(tmp_path):
@@ -208,13 +217,3 @@ def test_save_split_roundtrip(tmp_path):
     assert again.test == split.test
     assert again.catalog.titles == split.catalog.titles
 
-
-def test_idmaps_save_load(tmp_path):
-    maps = IdMaps()
-    for ext in ("a", "b", "c"):
-        maps.user_index(ext)
-    maps.item_index("x")
-    maps.save(tmp_path)
-    again = IdMaps.load(tmp_path)
-    assert again.user_ids == ["a", "b", "c"]
-    assert again.item_ids == ["x"]

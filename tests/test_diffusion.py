@@ -165,13 +165,3 @@ def test_dimension_mismatch_errors(rng):
         init_user_layer0(train, np.ones((5, 2), dtype=np.float32))
     with pytest.raises(DataError):
         diffuse(train, np.ones((4, 2), dtype=np.float32), -1)
-
-
-def test_retain_layers_flag(rng):
-    train = random_interactions(rng, 4, 5, 3)
-    emb = rng.standard_normal((5, 3)).astype(np.float32)
-    out = diffuse(train, emb, 2, retain_layers=True)
-    assert len(out.layers) == 3
-    mean_u = sum(u for u, _ in out.layers) / 3
-    assert np.allclose(mean_u, out.user_final, atol=1e-6)
-    assert not diffuse(train, emb, 2).layers  # default off

@@ -6,7 +6,7 @@ import pytest
 
 from textgcn.errors import DataError
 from textgcn.ranking import (MetricsReport, baseline_pop, baseline_random, evaluate,
-                             hr_at_k, ndcg_at_k, pop_order, recall_at_k, recommend_topk)
+                             hr_at_k, ndcg_at_k, recall_at_k, recommend_topk)
 
 from conftest import make_split
 
@@ -172,11 +172,15 @@ class TestEvaluate:
 
 class TestBaselines:
     def test_pop_order_example(self):
-        # train counts i0:5, i1:3, i2:9 -> order [i2, i0, i1]
-        rows = [[0, 2]] * 3 + [[0, 1, 2]] * 2 + [[2]] * 4 + [[1]]
-        split = make_split(rows, [[]] * 10, [[2]] * 10, n_items=3)
-        assert split.train.item_degrees.tolist() == [5, 3, 9]
-        assert pop_order(split.train).tolist() == [2, 0, 1]
+        # train counts i0:5, i1:3, i2:9 -> order [i2, i0, i1]; u10 trained only on i3
+        rows = [[0, 2]] * 3 + [[0, 1, 2]] * 2 + [[2]] * 4 + [[1]] + [[3]]
+        ranks = []
+        for item in range(3):
+            split = make_split(rows, [[]] * 11, [[]] * 10 + [[item]], n_items=4)
+            # a single relevant item at rank r scores NDCG = 1 / log2(r + 1)
+            ranks.append(2 ** (1 / baseline_pop(split, k=3).ndcg) - 1)
+        assert split.train.item_degrees.tolist() == [5, 3, 9, 1]
+        assert np.round(ranks).tolist() == [2, 3, 1]
 
     def test_random_seeded_identical(self, rng):
         train_rows = [[0, 1], [2], [3, 4]]

@@ -7,7 +7,7 @@ from textgcn.diffusion import diffuse
 from textgcn.errors import DataError
 from textgcn.tower import TwoTowerParams
 from textgcn.training import (TrainConfig, ablation_variants, apply_zero_shot, project,
-                              train, train_joint)
+                              train)
 from textgcn.training import _run_loop
 from textgcn.synthetic import SyntheticConfig, generate_clustered_split
 from textgcn.embeddings import mock_embed
@@ -134,11 +134,19 @@ class TestJoint:
     def test_single_part_equals_plain_train(self, tiny_dataset):
         split, emb = tiny_dataset
         cfg = small_cfg(max_epochs=3, patience=10)
-        a_params, a_log, _ = train(split, emb, cfg)
-        corpus = merge_corpora([split])
-        b_params, b_log, _ = train_joint(corpus, emb, cfg)
-        assert a_log.to_jsonl() == b_log.to_jsonl()
-        assert _params_fingerprint(a_params) == _params_fingerprint(b_params)
+        from textgcn.ranking import evaluate
+        diff = diffuse(split.train, emb, cfg.n_layers)
+
+        def eval_fn(params):   # plain in-domain selection on the split's own val recall
+            user_out, item_out = project(params, diff.user_final, diff.item_final)
+            return evaluate(split, user_out, item_out, k=cfg.eval_k, part="val",
+                            model="textgcn-mlp").recall
+
+        a_params, a_log = _run_loop(split.train, diff, cfg, eval_fn)
+        for data in (split, merge_corpora([split])):
+            b_params, b_log, _ = train(data, emb, cfg)
+            assert a_log.to_jsonl() == b_log.to_jsonl()
+            assert _params_fingerprint(a_params) == _params_fingerprint(b_params)
 
     def test_block_diagonal_diffusion(self):
         a = generate_clustered_split(SyntheticConfig(
@@ -179,8 +187,8 @@ class TestJoint:
             parts.append(part)
             embs.append(mock_embed(part.catalog, dim=16, seed=5))
         corpus = merge_corpora(parts)
-        params, _, _ = train_joint(corpus, np.vstack(embs),
-                                   small_cfg(max_epochs=3, patience=5))
+        params, _, _ = train(corpus, np.vstack(embs),
+                             small_cfg(max_epochs=3, patience=5))
         held_out = generate_clustered_split(SyntheticConfig(
             n_clusters=2, n_users=25, n_items=20, seed=9, min_degree=5,
             max_degree=8, id_tag="C"))
