@@ -112,8 +112,23 @@ def kcl_loss(
     user_vecs is (B, d); item_vecs holds one row per distinct batch item;
     pos_idx (B, k) and neg_idx (B, J) index into item_vecs. Internals run
     in float64 with max-subtracted log-sum-exp; gradients come back as
-    float32. Item-row accumulation happens in ascending user order, so the
-    result is bitwise reproducible.
+    float32.
+
+    Users are processed in row blocks of at most ``chunk``. Each block
+    scores every item with one product ``S = u_unit @ i_unit.T``, reads the
+    sampled similarities out of S, and scatters the per-pair loss
+    coefficients into a dense (rows x items) matrix W, so both gradients
+    are matrix products (cosine backprop, d sim(u,v)/du = (v - sim * u) / |u|):
+
+        d_user = (W @ i_unit - rowsum(W * S) * u_unit) / |u|
+        d_item = (sum over blocks of W.T @ u_unit - colsum(W * S) * i_unit) / |i|
+
+    With many items a block has fewer rows (at least one), so that S and W
+    each stay within ``chunk * (k + J) * d`` values, the size of the
+    (rows, k + J, d) gathers a row-wise form would take. The result is bitwise
+    reproducible for a given BLAS build and thread count: the scatters are
+    ``np.bincount`` sums in a fixed order, and the block boundaries and
+    matrix shapes depend only on the input shapes.
     """
     if temperature <= 0:
         raise DataError("temperature must be > 0")
@@ -130,49 +145,44 @@ def kcl_loss(
         raise DataError("zero-norm embedding row")
     u_unit = u64 / u_norm[:, None]
     i_unit = i64 / i_norm[:, None]
+    n_items, dim = i_unit.shape
+    step = max(1, min(chunk, chunk * (k + n_neg) * dim // n_items))
 
     inv_scale = 1.0 / (n_users * k * temperature)
     loss = 0.0
-    d_user = np.zeros_like(u64)
-    d_item = np.zeros_like(i64)
-
-    for start in range(0, n_users, chunk):
-        stop = min(start + chunk, n_users)
+    d_user = np.empty_like(u64)
+    item_pull = np.zeros_like(i64)       # sum of W.T @ u_unit over blocks
+    item_diag = np.zeros(n_items)        # colsum(W * S) over blocks
+    for start in range(0, n_users, step):
+        stop = min(start + step, n_users)
         uu = u_unit[start:stop]                      # (C, d)
-        pi = pos_idx[start:stop]
-        ni = neg_idx[start:stop]
-        pos_unit = i_unit[pi]                        # (C, k, d)
-        neg_unit = i_unit[ni]                        # (C, J, d)
-        pos_sim = np.einsum("cd,ckd->ck", uu, pos_unit)
-        neg_sim = np.einsum("cd,cjd->cj", uu, neg_unit)
+        cols = np.concatenate([pos_idx[start:stop], neg_idx[start:stop]], axis=1)
+        sampled = np.take_along_axis(uu @ i_unit.T, cols, axis=1)   # (C, k + J)
 
-        a = pos_sim / temperature
-        b = neg_sim / temperature
+        a = sampled[:, :k] / temperature
+        b = sampled[:, k:] / temperature
         m = np.maximum(a.max(axis=1), b.max(axis=1))[:, None]
         ea = np.exp(a - m)
         eb = np.exp(b - m)
         z = ea + eb.sum(axis=1)[:, None]             # (C, k)
         loss += float(np.sum(-(a - m) + np.log(z)))
 
-        coef_pos = (ea / z - 1.0) * inv_scale        # dL/d pos_sim
-        coef_neg = eb * (1.0 / z).sum(axis=1)[:, None] * inv_scale
+        coef = np.concatenate([(ea / z - 1.0) * inv_scale,      # dL/d sampled sim
+                               eb * (1.0 / z).sum(axis=1)[:, None] * inv_scale], axis=1)
+        coef_sim = coef * sampled
 
-        # cosine backprop: d sim(u,v)/du = (v_unit - sim * u_unit) / |u|
-        du = (
-            np.einsum("ck,ckd->cd", coef_pos, pos_unit)
-            - np.sum(coef_pos * pos_sim, axis=1)[:, None] * uu
-            + np.einsum("cj,cjd->cd", coef_neg, neg_unit)
-            - np.sum(coef_neg * neg_sim, axis=1)[:, None] * uu
-        ) / u_norm[start:stop, None]
-        d_user[start:stop] = du
+        rows = stop - start
+        flat = (np.arange(rows)[:, None] * n_items + cols).ravel()
+        w = np.bincount(flat, weights=coef.ravel(),
+                        minlength=rows * n_items).reshape(rows, n_items)
 
-        dpos = (coef_pos[:, :, None] * (uu[:, None, :] - pos_sim[:, :, None] * pos_unit)
-                / i_norm[pi][:, :, None])
-        dneg = (coef_neg[:, :, None] * (uu[:, None, :] - neg_sim[:, :, None] * neg_unit)
-                / i_norm[ni][:, :, None])
-        np.add.at(d_item, pi.ravel(), dpos.reshape(-1, d_item.shape[1]))
-        np.add.at(d_item, ni.ravel(), dneg.reshape(-1, d_item.shape[1]))
+        d_user[start:stop] = ((w @ i_unit - coef_sim.sum(axis=1)[:, None] * uu)
+                              / u_norm[start:stop, None])
+        item_pull += w.T @ uu
+        item_diag += np.bincount(cols.ravel(), weights=coef_sim.ravel(),
+                                 minlength=n_items)
 
+    d_item = (item_pull - item_diag[:, None] * i_unit) / i_norm[:, None]
     loss /= n_users * k
     if not np.isfinite(loss):
         raise DataError("non-finite contrastive loss")

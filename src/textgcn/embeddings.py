@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import struct
-import threading
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -34,7 +34,20 @@ ENDPOINT_ENV = "TEXTGCN_EMBED_URL"
 
 
 class EmbeddingServiceError(RuntimeError):
-    """Embedding endpoint failure that survived all retries."""
+    """Embedding endpoint failure that survived all retries.
+
+    ``status`` is the HTTP status code when the endpoint answered with one.
+    """
+
+    def __init__(self, message: str, status: int | None = None):
+        super().__init__(message)
+        self.status = status
+
+
+def _retryable(err: Exception) -> bool:
+    """False only for an HTTP 4xx answer other than 408 and 429."""
+    status = err.status if isinstance(err, EmbeddingServiceError) else None
+    return status is None or status in (408, 429) or not 400 <= status < 500
 
 
 def validate_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -88,12 +101,16 @@ def cache_key(model: str, title: str) -> str:
 
 
 class VectorCache:
-    """Directory of per-key vector files; writes are atomic and serialized."""
+    """Directory of per-key vector files; each write is atomic.
+
+    A write goes to a uniquely named temp file in the directory and is
+    renamed over the key, so concurrent writers, in this process or
+    others, never share a temp file and readers never see a partial one.
+    """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
 
     def _path(self, key: str) -> Path:
         return self.directory / key
@@ -105,10 +122,14 @@ class VectorCache:
         return load_matrix(path)[0]
 
     def put(self, key: str, vector: np.ndarray) -> None:
-        with self._lock:
-            tmp = self._path(key).with_suffix(".tmp")
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
+        os.close(fd)
+        try:
             save_matrix(vector.reshape(1, -1), tmp)
             os.replace(tmp, self._path(key))
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def _post_json(url: str, payload: dict, api_key: str | None, timeout: float = 60.0) -> dict:
@@ -117,7 +138,8 @@ def _post_json(url: str, payload: dict, api_key: str | None, timeout: float = 60
         headers["Authorization"] = f"Bearer {api_key}"
     resp = requests.post(url, data=json.dumps(payload), headers=headers, timeout=timeout)
     if not 200 <= resp.status_code < 300:
-        raise EmbeddingServiceError(f"HTTP {resp.status_code} from {url}: {resp.text[:500]}")
+        raise EmbeddingServiceError(f"HTTP {resp.status_code} from {url}: {resp.text[:500]}",
+                                    status=resp.status_code)
     return resp.json()
 
 
@@ -130,7 +152,11 @@ def _embed_batch(
     backoff: float,
     sleep: Callable[[float], None],
 ) -> list[np.ndarray]:
-    """One request with retries; vectors reordered by the response index."""
+    """One request with retries; vectors reordered by the response index.
+
+    A 4xx answer other than 408 and 429 is raised at once: repeating the
+    request cannot change it.
+    """
     payload = {"model": model, "input": list(titles)}
     last_err: Exception | None = None
     for attempt in range(max_attempts):
@@ -138,6 +164,8 @@ def _embed_batch(
             body = post(endpoint, payload)
             break
         except Exception as err:  # noqa: BLE001 - retried, re-raised below
+            if not _retryable(err):
+                raise
             last_err = err
             if attempt + 1 < max_attempts:
                 sleep(backoff * (2 ** attempt))
@@ -176,8 +204,11 @@ def fetch_embeddings(
     """Fetch one vector per catalog title, consulting the cache first.
 
     Only titles missing from the cache are sent (deduplicated, batched);
-    the returned matrix always follows catalog order. ``post`` is the
-    transport and exists mainly so tests can inject a fake endpoint.
+    the returned matrix always follows catalog order. Each batch's vectors
+    go into the cache as soon as that batch returns (in batch order when
+    ``concurrency > 1``), so a failed run keeps what it already paid for.
+    ``post`` is the transport and exists mainly so tests can inject a fake
+    endpoint.
     """
     if batch_size < 1:
         raise DataError("batch_size must be >= 1")
@@ -208,17 +239,18 @@ def fetch_embeddings(
         return _embed_batch(post, endpoint, model, [t for _, t in batch],
                             max_attempts, backoff, sleep)
 
+    def store(results) -> None:
+        for batch, vecs in zip(batches, results):
+            for (key, _), vec in zip(batch, vecs):
+                vectors[key] = vec
+                if cache is not None:
+                    cache.put(key, vec)
+
     if concurrency > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            results = list(pool.map(run, batches))
+            store(pool.map(run, batches))
     else:
-        results = [run(b) for b in batches]
-
-    for batch, vecs in zip(batches, results):
-        for (key, _), vec in zip(batch, vecs):
-            vectors[key] = vec
-            if cache is not None:
-                cache.put(key, vec)
+        store(map(run, batches))
 
     dims = {v.shape[0] for v in vectors.values()}
     if len(dims) > 1:

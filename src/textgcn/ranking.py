@@ -154,10 +154,73 @@ def _aggregate(split_name: str, model: str, k: int,
                          recall=recall, ndcg=ndcg, hr=hr, n_users=n)
 
 
+# scores ranked together (at least one row): keeps a slice's int64
+# argpartition indices and negated score copy near 3 MB
+_SELECT_CELLS = 1 << 18
+
+
 def _part_matrix(split: DatasetSplit, part: str) -> InteractionMatrix:
     if part not in ("val", "test"):
         raise DataError(f"part must be 'val' or 'test', got {part!r}")
     return split.val if part == "val" else split.test
+
+
+def _block_pairs(matrix: InteractionMatrix,
+                 users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, item) of every stored pair of ``users``; row r is users[r]."""
+    degrees = matrix.user_degrees[users]
+    rows = np.repeat(np.arange(len(users)), degrees)
+    offsets = np.arange(len(rows)) - np.repeat(np.cumsum(degrees) - degrees, degrees)
+    return rows, matrix.indices[np.repeat(matrix.indptr[users], degrees) + offsets]
+
+
+def _rank_rows(scores: np.ndarray, users: np.ndarray, train: InteractionMatrix,
+               target: InteractionMatrix, k: int,
+               discount: np.ndarray, ideal: np.ndarray) -> list[tuple[float, float, float]]:
+    """Per-user (recall, ndcg, hr) for one block of ascending users.
+
+    Train items are masked to -inf in ``scores``. ``argpartition`` picks
+    each row's k best; a row keeps that set only when it is the exact top
+    k, i.e. no unselected item ties the kth score and at least k
+    candidates exist. The other rows go through ``_topk_within`` and the
+    per-user metric functions. Hits are summed left to right against the
+    same ``math.log2`` discounts, so every float equals ``ndcg_at_k``'s.
+    """
+    n_items = scores.shape[1]
+    rows, cols = _block_pairs(train, users)
+    scores[rows, cols] = -np.inf
+    finite = np.isfinite(scores)
+    exact = np.zeros(len(users), dtype=bool)
+    per_user: list[tuple[float, float, float]] = []
+    if k < n_items:
+        neg = np.where(finite, -scores, np.inf)
+        top = np.argpartition(neg, k - 1, axis=1)[:, :k]
+        top_neg = np.take_along_axis(neg, top, axis=1)
+        exact = np.count_nonzero(neg <= top_neg.max(axis=1)[:, None], axis=1) == k
+        order = np.lexsort((top, top_neg), axis=1)
+        top = np.take_along_axis(top, order, axis=1)[exact]
+        keys = users[exact, None] * n_items + top
+        _check_exclusion(keys, users[rows] * n_items + cols)
+
+        relevant = np.zeros(scores.shape, dtype=bool)
+        relevant[_block_pairs(target, users)] = True
+        hits = np.take_along_axis(relevant[exact], top, axis=1)
+        n_hits = np.count_nonzero(hits, axis=1)
+        n_rel = target.user_degrees[users[exact]]
+        dcg = np.cumsum(hits * discount, axis=1)[:, -1]
+        per_user.extend(zip((n_hits / n_rel).tolist(),
+                            (dcg / ideal[np.minimum(n_rel, k)]).tolist(),
+                            (n_hits > 0).astype(np.float64).tolist()))
+    for row in np.flatnonzero(~exact).tolist():
+        u = int(users[row])
+        train_items = train.items_of(u)
+        top_row = _topk_within(scores[row], np.flatnonzero(finite[row]), k)
+        _check_exclusion(top_row, train_items)
+        relevant_set = set(target.items_of(u).tolist())
+        per_user.append((recall_at_k(top_row, relevant_set),
+                         ndcg_at_k(top_row, relevant_set, k),
+                         hr_at_k(top_row, relevant_set)))
+    return per_user
 
 
 def _score_users(split: DatasetSplit, k: int, part: str, model: str,
@@ -166,26 +229,22 @@ def _score_users(split: DatasetSplit, k: int, part: str, model: str,
 
     score_block(users) returns a writable (len(users), n_items) score
     array. Each user's candidates are the items with a finite score once
-    their train items are masked to -inf.
+    their train items are masked to -inf. Ranking runs on row slices of
+    at most ``_SELECT_CELLS`` scores, which bounds its temporaries.
     """
     target = _part_matrix(split, part)
     train = split.train
     eligible = np.flatnonzero((target.user_degrees > 0) & (train.user_degrees > 0))
+    discount = np.array([1.0 / math.log2(rank + 1) for rank in range(1, k + 1)])
+    ideal = np.concatenate(([0.0], np.cumsum(discount)))   # ideal[m]: m hits on top
+    rows = max(1, _SELECT_CELLS // max(train.n_items, 1))
     per_user: list[tuple[float, float, float]] = []
     for start in range(0, len(eligible), block):
         batch = eligible[start:start + block]
         scores = score_block(batch)
-        for row, u in enumerate(batch):
-            train_items = train.items_of(int(u))
-            s = scores[row]
-            s[train_items] = -np.inf
-            candidates = np.flatnonzero(np.isfinite(s))
-            top = _topk_within(s, candidates, k)
-            _check_exclusion(top, train_items)
-            relevant = set(target.items_of(int(u)).tolist())
-            per_user.append((recall_at_k(top, relevant),
-                             ndcg_at_k(top, relevant, k),
-                             hr_at_k(top, relevant)))
+        for lo in range(0, len(batch), rows):
+            per_user.extend(_rank_rows(scores[lo:lo + rows], batch[lo:lo + rows],
+                                       train, target, k, discount, ideal))
     return _aggregate(split.name, model, k, per_user)
 
 

@@ -30,6 +30,72 @@ def infonce_oracle(user_vecs, item_vecs, pos_idx, neg_idx, tau):
     return total / users.shape[0]
 
 
+def reference_kcl_loss(user_vecs, item_vecs, pos_idx, neg_idx, temperature, chunk=256):
+    """Row-wise form of kcl_loss: (C,k,d)/(C,J,d) gathers and np.add.at scatters."""
+    n_users, k = pos_idx.shape
+    u64 = np.asarray(user_vecs, dtype=np.float64)
+    i64 = np.asarray(item_vecs, dtype=np.float64)
+    u_norm = np.linalg.norm(u64, axis=1)
+    i_norm = np.linalg.norm(i64, axis=1)
+    u_unit = u64 / u_norm[:, None]
+    i_unit = i64 / i_norm[:, None]
+    inv_scale = 1.0 / (n_users * k * temperature)
+    loss = 0.0
+    d_user = np.zeros_like(u64)
+    d_item = np.zeros_like(i64)
+    for start in range(0, n_users, chunk):
+        stop = min(start + chunk, n_users)
+        uu = u_unit[start:stop]
+        pi = pos_idx[start:stop]
+        ni = neg_idx[start:stop]
+        pos_unit = i_unit[pi]
+        neg_unit = i_unit[ni]
+        pos_sim = np.einsum("cd,ckd->ck", uu, pos_unit)
+        neg_sim = np.einsum("cd,cjd->cj", uu, neg_unit)
+        a = pos_sim / temperature
+        b = neg_sim / temperature
+        m = np.maximum(a.max(axis=1), b.max(axis=1))[:, None]
+        ea = np.exp(a - m)
+        eb = np.exp(b - m)
+        z = ea + eb.sum(axis=1)[:, None]
+        loss += float(np.sum(-(a - m) + np.log(z)))
+        coef_pos = (ea / z - 1.0) * inv_scale
+        coef_neg = eb * (1.0 / z).sum(axis=1)[:, None] * inv_scale
+        d_user[start:stop] = (
+            np.einsum("ck,ckd->cd", coef_pos, pos_unit)
+            - np.sum(coef_pos * pos_sim, axis=1)[:, None] * uu
+            + np.einsum("cj,cjd->cd", coef_neg, neg_unit)
+            - np.sum(coef_neg * neg_sim, axis=1)[:, None] * uu
+        ) / u_norm[start:stop, None]
+        dpos = (coef_pos[:, :, None] * (uu[:, None, :] - pos_sim[:, :, None] * pos_unit)
+                / i_norm[pi][:, :, None])
+        dneg = (coef_neg[:, :, None] * (uu[:, None, :] - neg_sim[:, :, None] * neg_unit)
+                / i_norm[ni][:, :, None])
+        np.add.at(d_item, pi.ravel(), dpos.reshape(-1, d_item.shape[1]))
+        np.add.at(d_item, ni.ravel(), dneg.reshape(-1, d_item.shape[1]))
+    return loss / (n_users * k), d_user.astype(np.float32), d_item.astype(np.float32)
+
+
+@pytest.mark.parametrize("n_users, n_items, dim, k, n_neg, chunk", [
+    (600, 800, 64, 11, 128, 256),   # production shapes, last block partial
+    (37, 40, 8, 5, 16, 16),         # items collide within and across users
+    (50, 3000, 4, 3, 7, 32),        # many items: blocks shrink below chunk
+])
+def test_matches_rowwise_reference(rng, n_users, n_items, dim, k, n_neg, chunk):
+    users = rng.standard_normal((n_users, dim)).astype(np.float32)
+    items = rng.standard_normal((n_items, dim)).astype(np.float32)
+    pos = rng.integers(0, n_items, size=(n_users, k))
+    neg = rng.integers(0, n_items, size=(n_users, n_neg))
+    neg[:, 0] = pos[:, 0]              # one item both positive and negative
+    pos[1::2, -1] = pos[0, 0]          # and shared across users
+    want = reference_kcl_loss(users, items, pos, neg, 0.15, chunk)
+    got = kcl_loss(users, items, pos, neg, 0.15, chunk)
+    assert got[0] == pytest.approx(want[0], rel=1e-12)
+    for g, w in zip(got[1:], want[1:]):
+        assert g.dtype == np.float32
+        np.testing.assert_allclose(g, w, rtol=1e-6, atol=1e-6 * np.abs(w).max())
+
+
 class TestSampler:
     def test_with_replacement_when_short(self):
         train = InteractionMatrix.from_rows(1, 10, [[2, 5, 7]])

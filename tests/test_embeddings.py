@@ -170,6 +170,77 @@ def test_fetch_exhausted_retries_error():
                          max_attempts=3, sleep=lambda s: None)
 
 
+class StatusEndpoint(FakeEndpoint):
+    """Answers every request with one HTTP error status."""
+
+    def __init__(self, status):
+        super().__init__()
+        self.status = status
+        self.calls = 0
+
+    def __call__(self, url, payload):
+        self.calls += 1
+        raise EmbeddingServiceError(f"HTTP {self.status} from {url}", status=self.status)
+
+
+def test_fetch_client_error_not_retried():
+    fake = StatusEndpoint(401)
+    sleeps = []
+    with pytest.raises(EmbeddingServiceError, match="HTTP 401") as info:
+        fetch_embeddings(ItemCatalog(["a"]), "http://x", "m", post=fake,
+                         max_attempts=3, sleep=sleeps.append)
+    assert info.value.status == 401
+    assert fake.calls == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("status", [408, 429, 503])
+def test_fetch_transient_status_retried(status):
+    fake = StatusEndpoint(status)
+    sleeps = []
+    with pytest.raises(EmbeddingServiceError, match="after 3 attempts"):
+        fetch_embeddings(ItemCatalog(["a"]), "http://x", "m", post=fake,
+                         max_attempts=3, backoff=0.5, sleep=sleeps.append)
+    assert fake.calls == 3
+    assert sleeps == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("concurrency", [1, 3])
+def test_fetch_failure_keeps_earlier_batches_cached(tmp_path, concurrency):
+    titles = [f"title {k}" for k in range(10)]
+    catalog = ItemCatalog(titles)
+    cache = VectorCache(tmp_path / "cache")
+
+    class FailsOnThirdBatch(FakeEndpoint):
+        def __call__(self, url, payload):
+            if "title 4" in payload["input"]:
+                raise ConnectionError("down")
+            return super().__call__(url, payload)
+
+    with pytest.raises(EmbeddingServiceError):
+        fetch_embeddings(catalog, "http://x", "m", batch_size=2, cache=cache,
+                         post=FailsOnThirdBatch(), concurrency=concurrency,
+                         max_attempts=1)
+    for title in titles[:4]:
+        assert cache.get(cache_key("m", title)) is not None
+
+    fake = FakeEndpoint()
+    m = fetch_embeddings(catalog, "http://x", "m", batch_size=2, cache=cache, post=fake)
+    assert fake.requests == [titles[4:6], titles[6:8], titles[8:10]]
+    for row, title in enumerate(titles):
+        assert np.allclose(m[row], fake.vector(title))
+
+
+def test_cache_put_ignores_stale_tmp_name(tmp_path):
+    cache = VectorCache(tmp_path / "c")
+    key = cache_key("m", "t")
+    (cache.directory / f"{key}.tmp").mkdir()
+    vec = np.arange(3, dtype=np.float32)
+    cache.put(key, vec)
+    assert np.array_equal(cache.get(key), vec)
+    assert sorted(p.name for p in cache.directory.iterdir()) == [key, f"{key}.tmp"]
+
+
 def test_fetch_concurrent_batches_keep_order(tmp_path):
     titles = [f"title {k}" for k in range(9)]
     catalog = ItemCatalog(titles)

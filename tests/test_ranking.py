@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from textgcn import ranking
 from textgcn.errors import DataError
 from textgcn.ranking import (MetricsReport, baseline_pop, baseline_random, evaluate,
                              hr_at_k, ndcg_at_k, recall_at_k, recommend_topk)
@@ -190,7 +191,7 @@ class TestBaselines:
         b = baseline_random(split, k=3, seed=11)
         assert (a.recall, a.ndcg, a.hr) == (b.recall, b.ndcg, b.hr)
         c = baseline_random(split, k=3, seed=12)
-        assert (a.recall, a.ndcg, a.hr) != (c.recall, c.ndcg, c.hr) or True
+        assert (a.recall, a.ndcg, a.hr) != (c.recall, c.ndcg, c.hr)
 
     def test_pop_applies_exclusion(self):
         # user 0 interacted with the most popular item; it must not be recommended
@@ -211,3 +212,80 @@ def test_aggregation_order_independent():
     rng.shuffle(shuffled)
     b = _aggregate("d", "m", 20, shuffled)
     assert a.recall == b.recall and a.ndcg == b.ndcg and a.hr == b.hr
+
+
+def reference_score_users(split, k, part, model, score_block, block=512):
+    """Per-user loop: mask train items, _topk_within, the three metric functions."""
+    target = ranking._part_matrix(split, part)
+    train = split.train
+    eligible = np.flatnonzero((target.user_degrees > 0) & (train.user_degrees > 0))
+    per_user = []
+    for start in range(0, len(eligible), block):
+        batch = eligible[start:start + block]
+        scores = score_block(batch)
+        for row, u in enumerate(batch):
+            s = scores[row]
+            s[train.items_of(int(u))] = -np.inf
+            top = ranking._topk_within(s, np.flatnonzero(np.isfinite(s)), k)
+            relevant = set(target.items_of(int(u)).tolist())
+            per_user.append((recall_at_k(top, relevant), ndcg_at_k(top, relevant, k),
+                             hr_at_k(top, relevant)))
+    return ranking._aggregate(split.name, model, k, per_user)
+
+
+def _tie_heavy_split(rng, n_users=300, n_items=40):
+    """Users of every train degree, up to leaving fewer than k candidates.
+
+    Up to 8 test items per user, so DCG sums run over several hits.
+    """
+    train_rows, val_rows, test_rows = [], [], []
+    for u in range(n_users):
+        perm = rng.permutation(n_items)
+        n_train = int(rng.integers(0, n_items - 2)) if u % 5 else n_items - 3
+        n_val = int(rng.integers(0, 3))
+        train_rows.append(sorted(perm[:n_train].tolist()))
+        val_rows.append(sorted(perm[n_train:n_train + n_val].tolist()))
+        n_test = int(rng.integers(1, 9))
+        test_rows.append(sorted(perm[n_train + n_val:n_train + n_val + n_test].tolist()))
+    return make_split(train_rows, val_rows, test_rows, n_items)
+
+
+@pytest.mark.parametrize("select_cells", [1 << 18, 100])
+def test_block_ranking_matches_per_user_loop(rng, monkeypatch, select_cells):
+    monkeypatch.setattr(ranking, "_SELECT_CELLS", select_cells)
+    split = _tie_heavy_split(rng)
+    n_items = split.train.n_items
+    # integer-valued scores: ties at the kth score in most rows
+    table = rng.integers(0, 4, size=(split.train.n_users, n_items)).astype(np.float32)
+    per_user = []
+    aggregate = ranking._aggregate
+
+    def capture(name, model, k, rows):
+        per_user.append(sorted(rows))
+        return aggregate(name, model, k, rows)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ranking, "_aggregate", capture)
+        for k in (1, 5, 20, n_items):
+            for part in ("val", "test"):
+                got = ranking._score_users(split, k, part, "m", lambda u: table[u].copy(), 64)
+                want = reference_score_users(split, k, part, "m",
+                                             lambda u: table[u].copy(), 64)
+                assert got.to_json() == want.to_json()
+                assert per_user[-2] == per_user[-1]   # every user's floats, not only means
+
+    # identical embedding rows tie in cosine; pop ties on equal degrees
+    user_emb = rng.integers(-2, 3, size=(split.train.n_users, 3)).astype(np.float32)
+    user_emb[:, 0] = 3.0
+    item_emb = rng.integers(-1, 2, size=(n_items, 3)).astype(np.float32)
+    item_emb[:, 1] = 1.0
+    calls = [lambda k: evaluate(split, user_emb, item_emb, k=k, block=64),
+             lambda k: baseline_pop(split, k=k),
+             lambda k: baseline_random(split, k=k, seed=3)]
+    for call in calls:
+        for k in (1, 7, 20, 50):
+            got = call(k)
+            with monkeypatch.context() as patched:
+                patched.setattr(ranking, "_score_users", reference_score_users)
+                want = call(k)
+            assert got.to_json() == want.to_json()
