@@ -323,15 +323,6 @@ def cmd_evaluate(args) -> int:
 def cmd_tune(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg = _train_config(args, file_cfg)
-    corpus, item_emb = _load_corpus(args.dataset, args.embeddings)
-    store = search.TrialStore(args.records)
-    known = {f.name for f in fields(TrainConfig)}
-
-    def runner(overrides: dict) -> float:
-        trial_cfg = replace(cfg, **{k: v for k, v in overrides.items() if k in known})
-        _, log, _ = train(corpus, item_emb, trial_cfg)
-        return log.best_val_recall
-
     # sweep defaults come from the resolved run config, so flags like
     # --out-dim set the baseline for parameters not currently being swept
     space_values = dict(search.BROAD_VALUES)
@@ -341,6 +332,16 @@ def cmd_tune(args) -> int:
         space_spec = json.loads(Path(args.space).read_text(encoding="utf-8"))
         space_values = space_spec.get("values", space_values)
         defaults = space_spec.get("defaults", defaults)
+        unknown = sorted((set(space_values) | set(defaults))
+                         - {f.name for f in fields(TrainConfig)})
+        if unknown:
+            raise DataError(f"{args.space}: unknown parameter(s) {', '.join(unknown)}")
+    corpus, item_emb = _load_corpus(args.dataset, args.embeddings)
+    store = search.TrialStore(args.records)
+
+    def runner(overrides: dict) -> float:
+        _, log, _ = train(corpus, item_emb, replace(cfg, **overrides))
+        return log.best_val_recall
 
     if args.stage == "broad":
         best, records = search.greedy_stage(

@@ -186,12 +186,6 @@ class MergedCorpus:
     def part_item_range(self, p: int) -> tuple[int, int]:
         return self.item_offsets[p], self.item_offsets[p + 1]
 
-    def merged_titles(self) -> list[str]:
-        out: list[str] = []
-        for part in self.parts:
-            out.extend(part.catalog.titles)
-        return out
-
 
 def parse_interactions(
     path: str | Path,

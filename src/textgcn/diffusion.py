@@ -40,13 +40,10 @@ class NormalizedGraph:
         self.item_to_user = self.user_to_item.T.tocsr()
 
 
-def init_user_layer0(
-    train: InteractionMatrix, item_emb: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def init_user_layer0(train: InteractionMatrix, item_emb: np.ndarray) -> np.ndarray:
     """Mean of interacted-item embeddings per user.
 
-    Returns (user_matrix, zero_degree_flags); users with no training
-    interactions get the zero vector and a raised flag.
+    Users with no training interactions get the zero vector.
     """
     item_emb = np.ascontiguousarray(item_emb, dtype=np.float32)
     if item_emb.shape[0] != train.n_items:
@@ -58,10 +55,8 @@ def init_user_layer0(
         shape=(train.n_users, train.n_items),
     )
     sums = ones @ item_emb
-    degrees = train.user_degrees.astype(np.float32)
-    flags = train.user_degrees == 0
-    denom = np.where(flags, 1.0, degrees).astype(np.float32)
-    return sums / denom[:, None], flags
+    denom = np.maximum(train.user_degrees, 1).astype(np.float32)
+    return sums / denom[:, None]
 
 
 def propagate(
@@ -79,13 +74,10 @@ def propagate(
 
 @dataclass
 class DiffusionOutput:
-    """Layer-averaged user/item embeddings plus zero-degree flags."""
+    """Layer-averaged user/item embeddings."""
 
     user_final: np.ndarray
     item_final: np.ndarray
-    zero_degree_users: np.ndarray
-    zero_degree_items: np.ndarray
-    n_layers: int
 
 
 def diffuse(
@@ -101,8 +93,7 @@ def diffuse(
     if n_layers < 0:
         raise DataError("n_layers must be >= 0")
     item_emb = np.ascontiguousarray(item_emb, dtype=np.float32)
-    user0, user_flags = init_user_layer0(train, item_emb)
-    item_flags = train.item_degrees == 0
+    user0 = init_user_layer0(train, item_emb)
 
     graph = NormalizedGraph(train) if n_layers > 0 else None
     user_acc = user0.copy()
@@ -113,10 +104,4 @@ def diffuse(
         user_acc += user_l
         item_acc += item_l
     scale = np.float32(n_layers + 1)
-    return DiffusionOutput(
-        user_final=user_acc / scale,
-        item_final=item_acc / scale,
-        zero_degree_users=user_flags,
-        zero_degree_items=item_flags,
-        n_layers=n_layers,
-    )
+    return DiffusionOutput(user_final=user_acc / scale, item_final=item_acc / scale)

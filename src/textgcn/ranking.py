@@ -1,8 +1,10 @@
 """Top-k recommendation by cosine similarity, ranking metrics, baselines.
 
 Candidates are always the items the user has not interacted with in
-training. Ties are broken by ascending item index so rankings are
-reproducible; per-user metrics are averaged with exactly rounded
+training. One kernel, ``_topk_rows``, ranks for ``recommend_topk``,
+``evaluate`` and both baselines: a row's top k by score descending, ties
+broken by ascending item index, so rankings are reproducible and equal a
+full stable sort. Per-user metrics are averaged with exactly rounded
 summation (math.fsum), making the report independent of user iteration
 order.
 """
@@ -47,43 +49,45 @@ class MetricsReport:
         }, sort_keys=True)
 
 
-def unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalized copy plus a mask of zero-norm rows (left as zeros)."""
+def unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """Row-normalized copy; zero-norm rows stay zeros."""
     matrix = np.asarray(matrix, dtype=np.float32)
     norms = np.linalg.norm(matrix, axis=1)
-    zero = norms == 0
-    safe = np.where(zero, 1.0, norms).astype(np.float32)
-    return matrix / safe[:, None], zero
+    return matrix / np.where(norms == 0, 1.0, norms).astype(np.float32)[:, None]
 
 
-def _topk_within(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
-    """Top-k candidate indices by (score desc, index asc); exact partial selection.
+def _topk_rows(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's top ``min(k, n_items)`` indices by (score desc, index asc).
 
-    Matches a full stable sort followed by truncation, without sorting the
-    entire axis: everything strictly above the kth-largest score is in,
-    and ties at the boundary are filled by ascending item index.
+    A ``-inf`` score marks a non-candidate; ``valid`` is False on the
+    trailing places of rows with fewer candidates. ``argpartition`` picks
+    the k largest; when a whole-block count shows that it split a tie at
+    the kth score, the tied places of those rows are refilled with the
+    lowest tied indices. The result equals a full stable sort truncated.
     """
-    cscores = scores[candidates]
-    n = len(candidates)
-    if k < n:
-        kth = np.partition(cscores, n - k)[n - k]
-        above = cscores > kth
-        need = k - int(above.sum())
-        eq_pos = np.flatnonzero(cscores == kth)[:need]
-        mask = above.copy()
-        mask[eq_pos] = True
-        candidates = candidates[mask]
-        cscores = cscores[mask]
-    order = np.lexsort((candidates, -cscores))
-    return candidates[order]
-
-
-def _candidates(n_items: int, exclude: set[int] | np.ndarray) -> np.ndarray:
-    """Ascending indices of the items not in ``exclude``."""
-    keep = np.ones(n_items, dtype=bool)
-    keep[np.asarray(list(exclude) if isinstance(exclude, set) else exclude,
-                    dtype=np.int64)] = False
-    return np.flatnonzero(keep)
+    n_rows, n_items = scores.shape
+    rows = np.arange(n_rows)[:, None]
+    if k < n_items:
+        top = np.argpartition(scores, n_items - k, axis=1)[:, n_items - k:]
+        top_scores = scores[rows, top]
+        kth = top_scores[:, :1]                 # partition puts the kth first
+        at_least = scores >= kth
+        # k per row unless a tie at the kth score (-inf in rows with fewer
+        # than k candidates) was split
+        if np.count_nonzero(at_least) > k * n_rows:
+            split = np.flatnonzero(np.count_nonzero(at_least, axis=1) > k)
+            block, bound = scores[split], kth[split]
+            above = block > bound
+            tied = block == bound
+            need = k - np.count_nonzero(above, axis=1)
+            take = above | (tied & (np.cumsum(tied, axis=1) <= need[:, None]))
+            top[split] = np.nonzero(take)[1].reshape(len(split), k)
+            top_scores[split] = block[take].reshape(len(split), k)
+    else:
+        top = np.broadcast_to(np.arange(n_items), scores.shape)
+        top_scores = scores
+    order = np.lexsort((top, -top_scores), axis=1)
+    return top[rows, order], top_scores[rows, order] > -np.inf
 
 
 def recommend_topk(user_vec: np.ndarray, item_emb: np.ndarray,
@@ -100,13 +104,13 @@ def recommend_topk(user_vec: np.ndarray, item_emb: np.ndarray,
     norm = np.linalg.norm(user_vec)
     if norm == 0:
         raise DataError("zero user vector")
-    item_unit, _ = unit_rows(item_emb)
+    item_unit = unit_rows(item_emb)
     scores = item_unit @ (user_vec / norm)
-
-    candidates = _candidates(len(scores), exclude)
-    truncated = len(candidates) < k
-    top = _topk_within(scores, candidates, k)
-    return Ranking(items=top, scores=scores[top], truncated=truncated, user=user)
+    scores[np.asarray(list(exclude) if isinstance(exclude, set) else exclude,
+                      dtype=np.int64)] = -np.inf
+    top, valid = _topk_rows(scores[None, :], k)
+    top = top[0, valid[0]]
+    return Ranking(items=top, scores=scores[top], truncated=len(top) < k, user=user)
 
 
 def recall_at_k(items: np.ndarray, relevant: set[int]) -> float:
@@ -155,7 +159,7 @@ def _aggregate(split_name: str, model: str, k: int,
 
 
 # scores ranked together (at least one row): keeps a slice's int64
-# argpartition indices and negated score copy near 3 MB
+# argpartition indices near 2 MB
 _SELECT_CELLS = 1 << 18
 
 
@@ -179,48 +183,25 @@ def _rank_rows(scores: np.ndarray, users: np.ndarray, train: InteractionMatrix,
                discount: np.ndarray, ideal: np.ndarray) -> list[tuple[float, float, float]]:
     """Per-user (recall, ndcg, hr) for one block of ascending users.
 
-    Train items are masked to -inf in ``scores``. ``argpartition`` picks
-    each row's k best; a row keeps that set only when it is the exact top
-    k, i.e. no unselected item ties the kth score and at least k
-    candidates exist. The other rows go through ``_topk_within`` and the
-    per-user metric functions. Hits are summed left to right against the
-    same ``math.log2`` discounts, so every float equals ``ndcg_at_k``'s.
+    Train items are masked to -inf in ``scores`` before ``_topk_rows``.
+    Hits are summed left to right against the same ``math.log2``
+    discounts, so every float equals the metric functions' own.
     """
     n_items = scores.shape[1]
     rows, cols = _block_pairs(train, users)
     scores[rows, cols] = -np.inf
-    finite = np.isfinite(scores)
-    exact = np.zeros(len(users), dtype=bool)
-    per_user: list[tuple[float, float, float]] = []
-    if k < n_items:
-        neg = np.where(finite, -scores, np.inf)
-        top = np.argpartition(neg, k - 1, axis=1)[:, :k]
-        top_neg = np.take_along_axis(neg, top, axis=1)
-        exact = np.count_nonzero(neg <= top_neg.max(axis=1)[:, None], axis=1) == k
-        order = np.lexsort((top, top_neg), axis=1)
-        top = np.take_along_axis(top, order, axis=1)[exact]
-        keys = users[exact, None] * n_items + top
-        _check_exclusion(keys, users[rows] * n_items + cols)
+    top, valid = _topk_rows(scores, k)
+    _check_exclusion((users[:, None] * n_items + top)[valid], users[rows] * n_items + cols)
 
-        relevant = np.zeros(scores.shape, dtype=bool)
-        relevant[_block_pairs(target, users)] = True
-        hits = np.take_along_axis(relevant[exact], top, axis=1)
-        n_hits = np.count_nonzero(hits, axis=1)
-        n_rel = target.user_degrees[users[exact]]
-        dcg = np.cumsum(hits * discount, axis=1)[:, -1]
-        per_user.extend(zip((n_hits / n_rel).tolist(),
-                            (dcg / ideal[np.minimum(n_rel, k)]).tolist(),
-                            (n_hits > 0).astype(np.float64).tolist()))
-    for row in np.flatnonzero(~exact).tolist():
-        u = int(users[row])
-        train_items = train.items_of(u)
-        top_row = _topk_within(scores[row], np.flatnonzero(finite[row]), k)
-        _check_exclusion(top_row, train_items)
-        relevant_set = set(target.items_of(u).tolist())
-        per_user.append((recall_at_k(top_row, relevant_set),
-                         ndcg_at_k(top_row, relevant_set, k),
-                         hr_at_k(top_row, relevant_set)))
-    return per_user
+    relevant = np.zeros(scores.shape, dtype=bool)
+    relevant[_block_pairs(target, users)] = True
+    hits = np.take_along_axis(relevant, top, axis=1) & valid
+    n_hits = np.count_nonzero(hits, axis=1)
+    n_rel = target.user_degrees[users]
+    dcg = np.cumsum(hits * discount[:top.shape[1]], axis=1)[:, -1]
+    return list(zip((n_hits / n_rel).tolist(),
+                    (dcg / ideal[np.minimum(n_rel, k)]).tolist(),
+                    (n_hits > 0).astype(np.float64).tolist()))
 
 
 def _score_users(split: DatasetSplit, k: int, part: str, model: str,
@@ -228,7 +209,7 @@ def _score_users(split: DatasetSplit, k: int, part: str, model: str,
     """Rank-and-score loop shared by evaluate and the baselines.
 
     score_block(users) returns a writable (len(users), n_items) score
-    array. Each user's candidates are the items with a finite score once
+    array. Each user's candidates are the items not scored -inf once
     their train items are masked to -inf. Ranking runs on row slices of
     at most ``_SELECT_CELLS`` scores, which bounds its temporaries.
     """
@@ -261,8 +242,8 @@ def evaluate(split: DatasetSplit, user_emb: np.ndarray, item_emb: np.ndarray,
     train = split.train
     if user_emb.shape[0] != train.n_users or item_emb.shape[0] != train.n_items:
         raise DataError("embedding row counts do not match the split")
-    user_unit, _ = unit_rows(user_emb)
-    item_unit, _ = unit_rows(item_emb)
+    user_unit = unit_rows(user_emb)
+    item_unit = unit_rows(item_emb)
     return _score_users(split, k, part, model,
                         lambda users: user_unit[users] @ item_unit.T, block)
 
@@ -274,12 +255,13 @@ def baseline_random(split: DatasetSplit, k: int = 20, seed: int = 0,
     # the candidate at position j of the user's permutation scores -j, so
     # the top k are the permutation's first k
     positions = np.arange(train.n_items, dtype=np.float64)
+    items = np.arange(train.n_items)
 
     def score_block(users: np.ndarray) -> np.ndarray:
         scores = np.full((len(users), train.n_items), -np.inf)
         for row, u in enumerate(users.tolist()):
             order = np.random.default_rng((seed, u)).permutation(
-                _candidates(train.n_items, train.items_of(u)))
+                np.delete(items, train.items_of(u)))
             scores[row, order] = -positions[:len(order)]
         return scores
 

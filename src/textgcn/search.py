@@ -180,7 +180,6 @@ def grid_stage(values: dict[str, list], defaults: dict[str, object], runner: Run
 
 def pos_quantile_sweep(base: dict, runner: Runner,
                        quantiles: list[float] = (0.25, 0.5, 0.75),
-                       include_fixed_one: bool = True,
                        store: TrialStore | None = None
                        ) -> tuple[dict, list[TrialRecord]]:
     """Sweep the positive-count policy over interaction quantiles plus k=1."""
@@ -191,11 +190,10 @@ def pos_quantile_sweep(base: dict, runner: Runner,
         config["pos_quantile"] = q
         config["pos_k"] = None
         records.append(run_trial(runner, config, store))
-    if include_fixed_one:
-        config = dict(base)
-        config["pos_k"] = 1
-        config.pop("pos_quantile", None)
-        records.append(run_trial(runner, config, store))
+    config = dict(base)
+    config["pos_k"] = 1
+    config.pop("pos_quantile", None)
+    records.append(run_trial(runner, config, store))
     ok = [r for r in records if r.ok]
     if not ok:
         raise DataError("every positive-count trial failed")

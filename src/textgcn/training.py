@@ -10,7 +10,6 @@ validation epoch, not the last one.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,7 +56,6 @@ class EpochRecord:
     epoch: int
     loss: float
     val_recall: float | None
-    wall_time: float
 
 
 @dataclass
@@ -69,7 +67,7 @@ class TrainLog:
     resolved_pos_k: int = 0
 
     def to_jsonl(self) -> str:
-        """Deterministic per-epoch lines; wall time deliberately omitted."""
+        """Deterministic per-epoch lines."""
         lines = []
         for rec in self.epochs:
             lines.append(json.dumps({
@@ -156,12 +154,10 @@ def _run_loop(train, diff: DiffusionOutput, cfg: TrainConfig,
     best_params = params.copy()
     stale = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        tic = time.perf_counter()
         loss = _train_epoch(train, diff, params, adam, sampler_cfg,
                             users, epoch, cfg.seed)
         val_recall = eval_fn(params) if epoch % cfg.eval_every == 0 else None
-        log.epochs.append(EpochRecord(epoch=epoch, loss=loss, val_recall=val_recall,
-                                      wall_time=time.perf_counter() - tic))
+        log.epochs.append(EpochRecord(epoch=epoch, loss=loss, val_recall=val_recall))
         if val_recall is not None:
             if val_recall > log.best_val_recall:
                 log.best_val_recall = val_recall

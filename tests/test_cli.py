@@ -255,6 +255,25 @@ def test_tune_pos_stage(dataset_dir, mock_embeddings, tmp_path, capsys):
     assert len(list(records.glob("*.json"))) == 2
 
 
+@pytest.mark.parametrize("space, unknown", [
+    ({"values": {"neg_sampels": [4, 32]}}, "neg_sampels"),
+    ({"values": {"neg_samples": [4, 32]}, "defaults": {"neg_samples": 4, "layers": 2}},
+     "layers"),
+], ids=["values", "defaults"])
+def test_tune_unknown_parameter_exit2(space, unknown, dataset_dir, mock_embeddings,
+                                      tmp_path, capsys):
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(space))
+    records = tmp_path / "records"
+    code = main(["tune", "--dataset", str(dataset_dir),
+                 "--embeddings", str(mock_embeddings), "--stage", "broad",
+                 "--space", str(space_file), "--records", str(records),
+                 "--max-epochs", "1", "--out-dim", "8", "--batch", "16"])
+    assert code == 2
+    assert f"unknown parameter(s) {unknown}" in capsys.readouterr().err
+    assert not list(records.glob("*.json"))   # no trial ran
+
+
 def test_ablation_flag_emits_table(dataset_dir, mock_embeddings, tmp_path):
     out = tmp_path / "abl"
     assert main(["train", "--dataset", str(dataset_dir),

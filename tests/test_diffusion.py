@@ -36,11 +36,10 @@ def dense_oracle(train, item_emb, n_layers):
 def test_init_user_layer0_examples():
     train = InteractionMatrix.from_rows(3, 2, [[0, 1], [1], []])
     item_emb = np.array([[1, 0], [0, 1]], dtype=np.float32)
-    user0, flags = init_user_layer0(train, item_emb)
+    user0 = init_user_layer0(train, item_emb)
     assert user0[0].tolist() == [0.5, 0.5]
     assert user0[1].tolist() == [0.0, 1.0]   # single item: that vector exactly
-    assert user0[2].tolist() == [0.0, 0.0]   # zero-degree: zero vector + flag
-    assert flags.tolist() == [False, False, True]
+    assert user0[2].tolist() == [0.0, 0.0]   # zero-degree: zero vector
 
 
 def test_propagate_two_item_example():
@@ -48,7 +47,7 @@ def test_propagate_two_item_example():
     train = InteractionMatrix.from_rows(1, 2, [[0, 1]])
     item_emb = np.array([[1, 0], [0, 1]], dtype=np.float32)
     graph = NormalizedGraph(train)
-    user0, _ = init_user_layer0(train, item_emb)
+    user0 = init_user_layer0(train, item_emb)
     user1, item1 = propagate(graph, user0, item_emb)
     assert np.allclose(user1[0], [0.70711, 0.70711], atol=1e-5)
     assert np.allclose(item1, [[0.35355, 0.35355]] * 2, atol=1e-5)
@@ -58,7 +57,7 @@ def test_propagate_identity_degrees():
     train = InteractionMatrix.from_rows(1, 1, [[0]])
     item_emb = np.array([[3, 4]], dtype=np.float32)
     graph = NormalizedGraph(train)
-    user0, _ = init_user_layer0(train, item_emb)
+    user0 = init_user_layer0(train, item_emb)
     user1, item1 = propagate(graph, user0, item_emb)
     assert user1.tolist() == [[3, 4]]
     assert item1.tolist() == [[3, 4]]
@@ -78,7 +77,7 @@ def test_l0_is_raw_embedding_case(rng):
     item_emb = rng.standard_normal((9, 5)).astype(np.float32)
     out = diffuse(train, item_emb, n_layers=0)
     assert out.item_final.tobytes() == item_emb.tobytes()   # bitwise
-    user0, _ = init_user_layer0(train, item_emb)
+    user0 = init_user_layer0(train, item_emb)
     assert np.allclose(out.user_final, user0, atol=1e-6)
 
 

@@ -61,6 +61,33 @@ class TestRecommendTopk:
         assert ranking.truncated
         assert ranking.items.tolist() == [1]
 
+    @pytest.mark.parametrize("k", [1, 3, 7, 12, 40, 61])
+    @pytest.mark.parametrize("as_set", [True, False])
+    def test_ties_match_full_sort(self, rng, k, as_set):
+        # few distinct cosines: small integer rows, and one-hot or zero rows
+        # against a one-hot user, which score exactly 0 or 1
+        tables = [(rng.integers(0, 3, size=(n, 2)) + [1, 0], rng.integers(1, 3, size=2))
+                  for n in (12, 30)]
+        tables.append((np.eye(6, 5)[rng.integers(0, 6, size=60)], np.eye(5)[0]))
+        for items, u in tables:
+            items, u = items.astype(np.float32), u.astype(np.float32)
+            n_items = len(items)
+            for n_exclude in (0, 4, n_items - 3, n_items):
+                exclude = rng.choice(n_items, size=n_exclude, replace=False)
+                got = recommend_topk(u, items, set(exclude.tolist()) if as_set else exclude, k)
+                scores = ranking.unit_rows(items) @ (u / np.linalg.norm(u))
+                masked = scores.copy()
+                masked[exclude] = -np.inf
+                want = reference_topk(masked, k)
+                assert got.items.tolist() == want.tolist()
+                assert got.scores.tolist() == scores[want].tolist()
+                assert got.truncated == (n_items - n_exclude < k)
+
+    def test_empty_item_table(self):
+        result = recommend_topk(np.ones(3), np.zeros((0, 3), np.float32), set(), k=2)
+        assert result.items.tolist() == [] and result.scores.tolist() == []
+        assert result.truncated
+
     def test_zero_user_vector_errors(self):
         with pytest.raises(DataError, match="zero user vector"):
             recommend_topk(np.zeros(3), np.ones((4, 3), np.float32), set(), k=1)
@@ -214,8 +241,14 @@ def test_aggregation_order_independent():
     assert a.recall == b.recall and a.ndcg == b.ndcg and a.hr == b.hr
 
 
+def reference_topk(s, k):
+    """Top k finite-score indices by a full stable sort on (score desc, index asc)."""
+    cand = np.flatnonzero(np.isfinite(s))
+    return cand[np.lexsort((cand, -s[cand]))][:k]
+
+
 def reference_score_users(split, k, part, model, score_block, block=512):
-    """Per-user loop: mask train items, _topk_within, the three metric functions."""
+    """Per-user loop: mask train items, a full sort, the three metric functions."""
     target = ranking._part_matrix(split, part)
     train = split.train
     eligible = np.flatnonzero((target.user_degrees > 0) & (train.user_degrees > 0))
@@ -226,7 +259,7 @@ def reference_score_users(split, k, part, model, score_block, block=512):
         for row, u in enumerate(batch):
             s = scores[row]
             s[train.items_of(int(u))] = -np.inf
-            top = ranking._topk_within(s, np.flatnonzero(np.isfinite(s)), k)
+            top = reference_topk(s, k)
             relevant = set(target.items_of(int(u)).tolist())
             per_user.append((recall_at_k(top, relevant), ndcg_at_k(top, relevant, k),
                              hr_at_k(top, relevant)))
