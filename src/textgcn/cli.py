@@ -1,10 +1,11 @@
 """Command-line pipelines: ingest, embed, diffuse, train, tune, evaluate, recommend.
 
-Every command that produces files also writes a ``manifest.json`` capturing
-the resolved configuration, input checksums and package version, enough to
-re-run it exactly. Outputs are deterministic for a fixed seed; anything
-wall-clock related stays out of primary outputs. Exit codes: 0 success,
-1 internal failure, 2 usage or input error.
+Every command that produces files, except ``tune``, also writes a
+``manifest.json`` capturing the resolved configuration, input checksums and
+package version, enough to re-run it exactly (``tune`` would read one back
+from its records directory as a trial). Outputs are deterministic for a
+fixed seed; anything wall-clock related stays out of primary outputs. Exit
+codes: 0 success, 1 internal failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -106,6 +107,13 @@ def _train_config(args, file_cfg: dict) -> TrainConfig:
         if value is not None:
             overrides[f.name] = value
     return replace(TrainConfig(), **overrides)
+
+
+def _layers(flag: int | None, meta: dict | None = None) -> int:
+    """Diffusion depth: the --layers flag, else the checkpoint's training depth, else 2."""
+    if flag is not None:
+        return flag
+    return int((meta or {}).get("train_config", {}).get("n_layers", 2))
 
 
 def _load_rows(path: str, expected_ids: list[str]) -> np.ndarray:
@@ -284,10 +292,9 @@ def cmd_evaluate(args) -> int:
             report = evaluate(split, user_out, item_out, k=k, part=args.part,
                               model="textgcn")
         elif args.embeddings:
-            layers = args.layers if args.layers is not None else 2
             report = apply_zero_shot(None, split,
                                      _load_rows(args.embeddings, split.maps.item_ids),
-                                     layers, k=k, part=args.part)
+                                     _layers(args.layers), k=k, part=args.part)
         else:
             raise DataError("evaluate --model textgcn needs --embeddings or "
                             "--user-emb/--item-emb")
@@ -295,12 +302,9 @@ def cmd_evaluate(args) -> int:
         if not (args.checkpoint and args.embeddings):
             raise DataError("evaluate --model mlp needs --checkpoint and --embeddings")
         params, _, meta = load_checkpoint(args.checkpoint)
-        layers = args.layers
-        if layers is None:
-            layers = int(meta.get("train_config", {}).get("n_layers", 2))
         report = apply_zero_shot(params, split,
                                  _load_rows(args.embeddings, split.maps.item_ids),
-                                 layers, k=k, part=args.part)
+                                 _layers(args.layers, meta), k=k, part=args.part)
     else:
         raise DataError(f"unknown model tag {args.model!r}")
     line = report.to_json()
@@ -330,8 +334,15 @@ def cmd_tune(args) -> int:
                 "neg_samples": cfg.neg_samples, "n_layers": cfg.n_layers}
     if args.space:
         space_spec = json.loads(Path(args.space).read_text(encoding="utf-8"))
+        if not isinstance(space_spec, dict):
+            raise DataError(f"{args.space}: space file must hold a JSON object")
         space_values = space_spec.get("values", space_values)
         defaults = space_spec.get("defaults", defaults)
+        if not (isinstance(space_values, dict)
+                and all(isinstance(v, list) for v in space_values.values())):
+            raise DataError(f'{args.space}: "values" must map parameter names to lists')
+        if not isinstance(defaults, dict):
+            raise DataError(f'{args.space}: "defaults" must map parameter names to values')
         unknown = sorted((set(space_values) | set(defaults))
                          - {f.name for f in fields(TrainConfig)})
         if unknown:
@@ -367,11 +378,13 @@ def cmd_tune(args) -> int:
 def cmd_recommend(args) -> int:
     split = load_split(args.dataset)
     item_emb = _load_rows(args.embeddings, split.maps.item_ids)
-    layers = args.layers if args.layers is not None else 2
-    diff = diffuse(split.train, item_emb, layers)
+    params, meta = None, None
     if args.checkpoint:
-        params, _, _ = load_checkpoint(args.checkpoint,
-                                       expected_d_in=item_emb.shape[1])
+        params, _, meta = load_checkpoint(args.checkpoint,
+                                          expected_d_in=item_emb.shape[1])
+    layers = _layers(args.layers, meta)
+    diff = diffuse(split.train, item_emb, layers)
+    if params is not None:
         user_out, item_out = project(params, diff.user_final, diff.item_final)
     else:
         user_out, item_out = diff.user_final, diff.item_final

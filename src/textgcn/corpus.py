@@ -10,6 +10,7 @@ and binary; presence of a (user, item) pair means an observed interaction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -85,25 +86,25 @@ class InteractionMatrix:
             raise DataError("indptr must be non-decreasing")
         if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= self.n_items):
             raise DataError("item index out of range")
-        if len(self.indices) > 1:
-            gaps = np.diff(self.indices)
-            starts = self.indptr[1:-1]
-            boundary = np.zeros(len(gaps), dtype=bool)
-            inner = starts[(starts > 0) & (starts < len(self.indices))]
-            boundary[inner - 1] = True
-            if np.any((gaps <= 0) & ~boundary):
-                raise DataError("row not strictly ascending (duplicate or unsorted item)")
+        # with items in range, keys ascend across rows; within a row they ascend iff items do
+        if np.any(np.diff(self.pair_keys()) <= 0):
+            raise DataError("row not strictly ascending (duplicate or unsorted item)")
 
     @classmethod
     def from_rows(cls, n_users: int, n_items: int, rows: list[list[int]]) -> "InteractionMatrix":
-        indptr = np.zeros(n_users + 1, dtype=np.int64)
-        chunks = []
-        for u, items in enumerate(rows):
-            arr = np.asarray(sorted(items), dtype=np.int64)
-            chunks.append(arr)
-            indptr[u + 1] = indptr[u] + len(arr)
-        indices = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-        return cls(n_users, n_items, indptr, indices)
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        items = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
+        # checked before the key arithmetic, where a bad item would wrap into another row
+        if len(items) and (items.min() < 0 or items.max() >= n_items):
+            raise DataError("item index out of range")
+        users = np.repeat(np.arange(len(rows), dtype=np.int64), lengths)
+        return cls._from_keys(n_users, n_items, np.sort(users * n_items + items))
+
+    @classmethod
+    def _from_keys(cls, n_users: int, n_items: int, keys: np.ndarray) -> "InteractionMatrix":
+        """Inverse of ``pair_keys``: ascending ``u * n_items + i`` keys to CSR."""
+        indptr = np.searchsorted(keys, np.arange(n_users + 1, dtype=np.int64) * n_items)
+        return cls(n_users, n_items, indptr, keys % n_items)
 
     @property
     def n_interactions(self) -> int:
@@ -114,7 +115,7 @@ class InteractionMatrix:
 
     def pair_keys(self) -> np.ndarray:
         """Each stored (u, i) encoded as u * n_items + i; sorted ascending."""
-        users = np.repeat(np.arange(self.n_users, dtype=np.int64), self.user_degrees)
+        users = np.repeat(np.arange(self.n_users, dtype=np.int64), np.diff(self.indptr))
         return users * self.n_items + self.indices
 
     def __eq__(self, other: object) -> bool:
@@ -187,6 +188,32 @@ class MergedCorpus:
         return self.item_offsets[p], self.item_offsets[p + 1]
 
 
+def _read_pairs(path: Path, maps: IdMaps, allow_empty: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One interactions file as (user, item) dense-index arrays, one entry per item token.
+
+    Unseen external IDs are appended to ``maps`` in first-occurrence order;
+    a bare user line registers the user with no pairs.
+    """
+    line_users, lengths, items = [], [], []
+    user_index, item_index = maps.user_index, maps.item_index
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            tokens = line.split(" ")
+            if "" in tokens:
+                raise DataError(f"{path}:{lineno}: malformed line (empty token)")
+            line_users.append(user_index(tokens[0]))
+            lengths.append(len(tokens) - 1)
+            items.extend(map(item_index, tokens[1:]))
+    if not line_users and not allow_empty:
+        raise DataError(f"{path}: empty corpus")
+    users = np.repeat(np.asarray(line_users, dtype=np.int64),
+                      np.asarray(lengths, dtype=np.int64))
+    return users, np.asarray(items, dtype=np.int64)
+
+
 def parse_interactions(
     path: str | Path,
     maps: IdMaps | None = None,
@@ -200,30 +227,10 @@ def parse_interactions(
     with zero interactions.
     """
     maps = maps if maps is not None else IdMaps()
-    per_user: dict[int, set[int]] = {}
-    duplicates = 0
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            tokens = line.split(" ")
-            if any(t == "" for t in tokens):
-                raise DataError(f"{path}:{lineno}: malformed line (empty token)")
-            u = maps.user_index(tokens[0])
-            bucket = per_user.setdefault(u, set())
-            for tok in tokens[1:]:
-                i = maps.item_index(tok)
-                if i in bucket:
-                    duplicates += 1
-                else:
-                    bucket.add(i)
-    if not per_user and not allow_empty:
-        raise DataError(f"{path}: empty corpus")
-    rows = [sorted(per_user.get(u, ())) for u in range(maps.n_users)]
-    matrix = InteractionMatrix.from_rows(maps.n_users, maps.n_items, rows)
-    return matrix, maps, duplicates
+    users, items = _read_pairs(Path(path), maps, allow_empty)
+    keys = np.unique(users * maps.n_items + items)
+    matrix = InteractionMatrix._from_keys(maps.n_users, maps.n_items, keys)
+    return matrix, maps, len(items) - len(keys)
 
 
 def write_interactions(matrix: InteractionMatrix, maps: IdMaps, path: str | Path) -> None:
@@ -252,25 +259,6 @@ def read_titles(path: str | Path, maps: IdMaps) -> dict[int, str]:
     return titles
 
 
-def _resize(matrix: InteractionMatrix, n_users: int, n_items: int) -> InteractionMatrix:
-    """Re-declare a matrix over the enlarged shared ID universe."""
-    pad = np.full(n_users - matrix.n_users, matrix.indptr[-1], dtype=np.int64)
-    indptr = np.concatenate([matrix.indptr, pad])
-    return InteractionMatrix(n_users, n_items, indptr, matrix.indices)
-
-
-def _drop_cold_users(
-    matrix: InteractionMatrix, train_degrees: np.ndarray
-) -> tuple[InteractionMatrix, int]:
-    keep_user = train_degrees > 0
-    keep_counts = np.where(keep_user, matrix.user_degrees, 0)
-    dropped = int(matrix.n_interactions - keep_counts.sum())
-    indptr = np.zeros(matrix.n_users + 1, dtype=np.int64)
-    np.cumsum(keep_counts, out=indptr[1:])
-    mask = np.repeat(keep_user, matrix.user_degrees)
-    return InteractionMatrix(matrix.n_users, matrix.n_items, indptr, matrix.indices[mask]), dropped
-
-
 def load_split(directory: str | Path, name: str | None = None) -> DatasetSplit:
     """Load train/val/test interaction files plus titles from a directory.
 
@@ -285,49 +273,45 @@ def load_split(directory: str | Path, name: str | None = None) -> DatasetSplit:
         if not (directory / fname).exists():
             raise DataError(f"missing file: {directory / fname}")
     maps = IdMaps()
-    train, _, dup_train = parse_interactions(directory / TRAIN_FILE, maps, allow_empty=True)
-    val, _, dup_val = parse_interactions(directory / VAL_FILE, maps, allow_empty=True)
-    test, _, dup_test = parse_interactions(directory / TEST_FILE, maps, allow_empty=True)
-    if train.n_interactions + val.n_interactions + test.n_interactions == 0:
+    pairs = [_read_pairs(directory / fname, maps, allow_empty=True)
+             for fname in (TRAIN_FILE, VAL_FILE, TEST_FILE)]
+    n_pairs = sum(len(items) for _, items in pairs)
+    if n_pairs == 0:
         raise DataError(f"{directory}: empty corpus")
     titles_by_idx = read_titles(directory / TITLES_FILE, maps)
-
     n_users, n_items = maps.n_users, maps.n_items
-    train = _resize(train, n_users, n_items)
-    val = _resize(val, n_users, n_items)
-    test = _resize(test, n_users, n_items)
 
-    interacting = set(train.indices.tolist()) | set(val.indices.tolist()) | set(test.indices.tolist())
-    missing = sorted(interacting - set(titles_by_idx))
-    if missing:
+    untitled = np.ones(n_items, dtype=bool)
+    untitled[list(titles_by_idx)] = False
+    missing = np.unique(np.concatenate([items[untitled[items]] for _, items in pairs]))
+    if len(missing):
         raise DataError(
             f"{directory}: {len(missing)} interaction item(s) without a title, "
             f"first: {maps.item_ids[missing[0]]!r}"
         )
 
-    train_keys = train.pair_keys()
-    val_keys = val.pair_keys()
-    test_keys = test.pair_keys()
-    for label, keys in (("train/val", (train_keys, val_keys)),
-                        ("train/test", (train_keys, test_keys)),
-                        ("val/test", (val_keys, test_keys))):
-        if len(np.intersect1d(*keys)):
+    # every file keyed against the final item count, so keys compare across files
+    train_keys, val_keys, test_keys = (np.unique(users * n_items + items)
+                                       for users, items in pairs)
+    for label, a, b in (("train/val", train_keys, val_keys),
+                        ("train/test", train_keys, test_keys),
+                        ("val/test", val_keys, test_keys)):
+        if len(np.intersect1d(a, b, assume_unique=True)):
             raise DataError(f"overlapping interaction across splits ({label})")
 
-    val, dropped_val = _drop_cold_users(val, train.user_degrees)
-    test, dropped_test = _drop_cold_users(test, train.user_degrees)
-
-    catalog = ItemCatalog([titles_by_idx[i] for i in range(n_items)] if n_items else [])
+    train = InteractionMatrix._from_keys(n_users, n_items, train_keys)
+    warm = train.user_degrees > 0
+    val_kept, test_kept = (keys[warm[keys // n_items]] for keys in (val_keys, test_keys))
     return DatasetSplit(
         name=name or directory.name,
         maps=maps,
         train=train,
-        val=val,
-        test=test,
-        catalog=catalog,
-        dropped_val=dropped_val,
-        dropped_test=dropped_test,
-        duplicates=dup_train + dup_val + dup_test,
+        val=InteractionMatrix._from_keys(n_users, n_items, val_kept),
+        test=InteractionMatrix._from_keys(n_users, n_items, test_kept),
+        catalog=ItemCatalog([titles_by_idx[i] for i in range(n_items)]),
+        dropped_val=len(val_keys) - len(val_kept),
+        dropped_test=len(test_keys) - len(test_kept),
+        duplicates=n_pairs - len(train_keys) - len(val_keys) - len(test_keys),
     )
 
 

@@ -1,11 +1,13 @@
 import http.server
 import json
+import shlex
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from textgcn.cli import main
+from textgcn.cli import build_parser, main
 from textgcn.corpus import load_split
 from textgcn.embeddings import load_matrix
 from textgcn.ranking import baseline_pop
@@ -240,6 +242,29 @@ def test_recommend_known_and_unknown_user(dataset_dir, mock_embeddings, capsys):
     assert "unknown user" in capsys.readouterr().err
 
 
+def test_recommend_uses_checkpoint_depth(dataset_dir, mock_embeddings, tmp_path, capsys):
+    ck = tmp_path / "ck"
+    assert main(["train", "--dataset", str(dataset_dir),
+                 "--embeddings", str(mock_embeddings), "--out", str(ck),
+                 "--layers", "0", "--seed", "2", "--max-epochs", "2",
+                 "--out-dim", "8", "--neg", "16", "--batch", "16"]) == 0
+    users = ",".join(load_split(dataset_dir).maps.user_ids[:6])
+    base = ["recommend", "--dataset", str(dataset_dir), "--embeddings",
+            str(mock_embeddings), "--checkpoint", str(ck), "--users", users, "--k", "5"]
+    capsys.readouterr()
+    outputs = {}
+    for label, extra in (("default", []), ("l0", ["--layers", "0"]), ("l2", ["--layers", "2"])):
+        out = tmp_path / label / "recs.tsv"
+        out.parent.mkdir()
+        assert main(base + extra + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        outputs[label] = out.read_text()
+        manifest = json.loads((out.parent / "manifest.json").read_text())
+        assert manifest["config"]["layers"] == (2 if label == "l2" else 0)
+    assert outputs["default"] == outputs["l0"]
+    assert outputs["l2"] != outputs["l0"]   # the depth is visible in the lists
+
+
 def test_tune_pos_stage(dataset_dir, mock_embeddings, tmp_path, capsys):
     records = tmp_path / "records"
     code = main(["tune", "--dataset", str(dataset_dir),
@@ -255,12 +280,15 @@ def test_tune_pos_stage(dataset_dir, mock_embeddings, tmp_path, capsys):
     assert len(list(records.glob("*.json"))) == 2
 
 
-@pytest.mark.parametrize("space, unknown", [
-    ({"values": {"neg_sampels": [4, 32]}}, "neg_sampels"),
+@pytest.mark.parametrize("space, message", [
+    ({"values": {"neg_sampels": [4, 32]}}, "unknown parameter(s) neg_sampels"),
     ({"values": {"neg_samples": [4, 32]}, "defaults": {"neg_samples": 4, "layers": 2}},
-     "layers"),
-], ids=["values", "defaults"])
-def test_tune_unknown_parameter_exit2(space, unknown, dataset_dir, mock_embeddings,
+     "unknown parameter(s) layers"),
+    ({"values": ["neg_samples"]}, '"values" must map parameter names to lists'),
+    ({"values": {"neg_samples": 4}}, '"values" must map parameter names to lists'),
+    ({"defaults": ["neg_samples"]}, '"defaults" must map parameter names to values'),
+], ids=["values", "defaults", "values-list", "values-scalar", "defaults-list"])
+def test_tune_unknown_parameter_exit2(space, message, dataset_dir, mock_embeddings,
                                       tmp_path, capsys):
     space_file = tmp_path / "space.json"
     space_file.write_text(json.dumps(space))
@@ -270,8 +298,8 @@ def test_tune_unknown_parameter_exit2(space, unknown, dataset_dir, mock_embeddin
                  "--space", str(space_file), "--records", str(records),
                  "--max-epochs", "1", "--out-dim", "8", "--batch", "16"])
     assert code == 2
-    assert f"unknown parameter(s) {unknown}" in capsys.readouterr().err
-    assert not list(records.glob("*.json"))   # no trial ran
+    assert message in capsys.readouterr().err
+    assert not records.exists()   # rejected before the store opens or any trial runs
 
 
 def test_ablation_flag_emits_table(dataset_dir, mock_embeddings, tmp_path):
@@ -361,3 +389,17 @@ def test_joint_training_two_datasets(tmp_path):
     from textgcn.tower import load_checkpoint
     _, _, meta = load_checkpoint(ck)
     assert len(meta["sources"]) == 2
+
+
+def test_readme_cli_block_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI pipeline", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("textgcn ")]
+    assert len(commands) == 13
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command no longer parses: {command}")

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textgcn.corpus import (IdMaps, InteractionMatrix, interaction_quantile, load_split,
-                            merge_corpora, parse_interactions, save_split, split_random,
-                            write_interactions)
+                            merge_corpora, parse_interactions, read_titles, save_split,
+                            split_random, write_interactions)
 from textgcn.errors import DataError
 
 from conftest import make_split, write_dataset
@@ -136,6 +138,156 @@ def test_load_split_missing_file_errors(tmp_path):
     (d / "val.txt").unlink()
     with pytest.raises(DataError, match="missing file"):
         load_split(d)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[3], []], "item index out of range"),     # would wrap into user 1's row
+    ([[], [-1]], "item index out of range"),    # would wrap into user 0's row
+    ([[1, 1], []], "duplicate or unsorted"),
+], ids=["out-of-range", "negative", "duplicate"])
+def test_from_rows_rejects_bad_items(rows, message):
+    with pytest.raises(DataError, match=message):
+        InteractionMatrix.from_rows(2, 3, rows)
+
+
+@pytest.mark.parametrize("indptr, indices, message", [
+    ([0, 1, 1], [3], "item index out of range"),
+    ([0, 0, 1], [-1], "item index out of range"),
+    ([0, 2, 2], [1, 1], "duplicate or unsorted"),
+    ([0, 2, 2], [2, 0], "duplicate or unsorted"),
+    ([0, 3, 2], [0, 1], "non-decreasing"),
+], ids=["out-of-range", "negative", "duplicate", "unsorted", "indptr-decreasing"])
+def test_constructor_rejects_bad_indices(indptr, indices, message):
+    with pytest.raises(DataError, match=message):
+        InteractionMatrix(2, 3, np.array(indptr), np.array(indices))
+
+
+def test_constructor_accepts_descent_across_rows():
+    m = InteractionMatrix(2, 3, np.array([0, 1, 2]), np.array([2, 0]))
+    assert m.pair_keys().tolist() == [2, 3]
+    assert InteractionMatrix.from_rows(2, 3, [[2, 0], [1]]) == InteractionMatrix(
+        2, 3, np.array([0, 2, 3]), np.array([0, 2, 1]))
+
+
+def _reference_parse(path, maps):
+    """The per-user-set parser ``parse_interactions`` replaced, kept as an oracle."""
+    per_user, duplicates = {}, 0
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            tokens = line.split(" ")
+            if any(t == "" for t in tokens):
+                raise DataError(f"{path}:{lineno}: malformed line (empty token)")
+            bucket = per_user.setdefault(maps.user_index(tokens[0]), set())
+            for tok in tokens[1:]:
+                i = maps.item_index(tok)
+                duplicates += i in bucket
+                bucket.add(i)
+    return per_user, duplicates
+
+
+def _csr(rows):
+    return np.cumsum([0] + [len(r) for r in rows]).tolist(), [i for r in rows for i in r]
+
+
+def _reference_load_split(directory):
+    """The per-user-set ``load_split``, as plain lists; errors come back as text."""
+    maps = IdMaps()
+    parts, duplicates = [], 0
+    for fname in ("train.txt", "val.txt", "test.txt"):
+        per_user, dups = _reference_parse(directory / fname, maps)
+        parts.append(per_user)
+        duplicates += dups
+    if not any(items for part in parts for items in part.values()):
+        raise DataError(f"{directory}: empty corpus")
+    titles = read_titles(directory / "titles.tsv", maps)
+    missing = sorted({i for part in parts for items in part.values() for i in items}
+                     - set(titles))
+    if missing:
+        raise DataError(f"{directory}: {len(missing)} interaction item(s) without a title, "
+                        f"first: {maps.item_ids[missing[0]]!r}")
+    pairs = [{(u, i) for u, items in part.items() for i in items} for part in parts]
+    for label, a, b in (("train/val", 0, 1), ("train/test", 0, 2), ("val/test", 1, 2)):
+        if pairs[a] & pairs[b]:
+            raise DataError(f"overlapping interaction across splits ({label})")
+    warm = {u for u, items in parts[0].items() if items}
+    matrices = [_csr([sorted(part.get(u, ())) if k == 0 or u in warm else []
+                      for u in range(maps.n_users)]) for k, part in enumerate(parts)]
+    dropped = [sum(len(items) for u, items in part.items() if u not in warm)
+               for part in parts[1:]]
+    return (maps.user_ids, maps.item_ids, matrices,
+            [titles[i] for i in range(maps.n_items)], *dropped, duplicates)
+
+
+def _loaded(directory):
+    split = load_split(directory)
+    matrices = [(m.indptr.tolist(), m.indices.tolist())
+                for m in (split.train, split.val, split.test)]
+    assert {m.n_users for m in (split.train, split.val, split.test)} == {split.maps.n_users}
+    return (split.maps.user_ids, split.maps.item_ids, matrices, split.catalog.titles,
+            split.dropped_val, split.dropped_test, split.duplicates)
+
+
+def _parsed(path):
+    matrix, maps, dups = parse_interactions(path)
+    return (maps.user_ids, maps.item_ids, dups,
+            (matrix.indptr.tolist(), matrix.indices.tolist()))
+
+
+def _reference_parsed(path):
+    maps = IdMaps()
+    per_user, dups = _reference_parse(path, maps)
+    if not per_user:
+        raise DataError(f"{path}: empty corpus")
+    rows = [sorted(per_user.get(u, ())) for u in range(maps.n_users)]
+    return maps.user_ids, maps.item_ids, dups, _csr(rows)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DataError as err:
+        return f"DataError: {err}"
+
+
+def _lines(item_pool):
+    users = st.sampled_from([f"u{k}" for k in range(6)])
+    items = st.lists(st.sampled_from(item_pool), max_size=5)   # may repeat; may be bare
+    pair_line = st.builds(lambda u, its: " ".join([u, *its]), users, items)
+    odd_line = st.sampled_from(["# comment", "", "   "])
+    return st.lists(st.one_of(pair_line, pair_line, pair_line, odd_line), max_size=8)
+
+
+@st.composite
+def _split_dirs(draw):
+    shared = ["i0", "i1", "i2"]
+    files = {name: draw(_lines(shared + [f"{name[0]}{k}" for k in range(3)]))
+             for name in ("train", "val", "test")}
+    if draw(st.integers(0, 9)) == 0:
+        lines = files[draw(st.sampled_from(sorted(files)))]
+        lines.insert(draw(st.integers(0, len(lines))), "u0  i0")   # empty token
+    named = shared + [f"{p}{k}" for p in "tvx" for k in range(3)] + ["solo0", "solo1"]
+    untitled = draw(st.sets(st.sampled_from(named), max_size=1))
+    titles = [f"{item}\ttitle of {item}" for item in draw(st.permutations(named))
+              if item not in untitled]
+    if draw(st.integers(0, 9)) == 0:
+        titles.insert(draw(st.integers(0, len(titles))), "no tab here")
+    return files, titles
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_dirs())
+def test_load_split_matches_per_user_set_reference(spec):
+    files, titles = spec
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp) / "ds"
+        write_dataset(d, files["train"], files["val"], files["test"], {})
+        (d / "titles.tsv").write_text("".join(t + "\n" for t in titles), encoding="utf-8")
+        assert _outcome(_loaded, d) == _outcome(_reference_load_split, d)
+        for fname in ("train.txt", "val.txt", "test.txt"):
+            assert _outcome(_parsed, d / fname) == _outcome(_reference_parsed, d / fname)
 
 
 def test_quantile_examples():
