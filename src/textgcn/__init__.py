@@ -8,7 +8,7 @@ k-positive contrastive loss specializes the embeddings in-domain.
 
 __version__ = "0.1.0"
 
-from .contrast import ContrastBatch, SamplerConfig, kcl_loss, localize_batch, sample_batch
+from .contrast import ContrastBatch, kcl_loss, localize_batch, sample_batch
 from .corpus import (DatasetSplit, IdMaps, InteractionMatrix, ItemCatalog, MergedCorpus,
                      interaction_quantile, load_split, merge_corpora, parse_interactions,
                      save_split, split_random)

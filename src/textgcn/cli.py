@@ -3,7 +3,9 @@
 Every command that produces files, except ``tune``, also writes a
 ``manifest.json`` capturing the resolved configuration, input checksums and
 package version, enough to re-run it exactly (``tune`` would read one back
-from its records directory as a trial). Outputs are deterministic for a
+from its records directory as a trial). The manifests of ``evaluate`` and
+``recommend`` record the diffusion depth actually used: ``--layers``, else
+the checkpoint's training depth, else 2. Outputs are deterministic for a
 fixed seed; anything wall-clock related stays out of primary outputs. Exit
 codes: 0 success, 1 internal failure, 2 usage or input error.
 """
@@ -24,10 +26,9 @@ from . import __version__, embeddings, search, synthetic
 from .corpus import MergedCorpus, interaction_quantile, load_split, merge_corpora, save_split
 from .diffusion import diffuse
 from .errors import DataError
-from .ranking import baseline_pop, baseline_random, evaluate, recommend_topk
+from .ranking import baseline_pop, baseline_random, evaluate, recommend_unit, unit_rows
 from .tower import load_checkpoint, save_checkpoint
-from .training import (TrainConfig, ablation_variants, apply_zero_shot,
-                       evaluate_per_part, project, train)
+from .training import TrainConfig, ablation_variants, head_recall, model_outputs, train
 
 
 def _sha256(path: Path) -> str:
@@ -60,6 +61,17 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_output(args, command: str, text: str, config: dict) -> None:
+    """Write ``text`` to --out, creating its directory, and a manifest beside it."""
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text, encoding="utf-8")
+    inputs = {name: Path(getattr(args, name))
+              for name in ("dataset", "embeddings", "user_emb", "item_emb", "checkpoint")
+              if getattr(args, name, None)}
+    _write_manifest(out.parent, command, dict(config, out=str(out)), inputs)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -131,6 +143,19 @@ def _load_rows(path: str, expected_ids: list[str]) -> np.ndarray:
     return matrix
 
 
+def _model_tables(split, args, checkpoint: str | None) -> tuple[np.ndarray, np.ndarray, int]:
+    """User and item tables of --embeddings and an optional checkpoint, plus the depth used.
+
+    The tables come from ``model_outputs`` over the split's train graph.
+    """
+    item_emb = _load_rows(args.embeddings, split.maps.item_ids)
+    params, meta = None, None
+    if checkpoint:
+        params, _, meta = load_checkpoint(checkpoint)
+    layers = _layers(args.layers, meta)
+    return (*model_outputs(params, split.train, item_emb, layers), layers)
+
+
 def _load_corpus(dataset_paths: list[str],
                  emb_paths: list[str]) -> tuple[MergedCorpus, np.ndarray]:
     """Merge one or more datasets and stack their item embeddings in part order."""
@@ -177,8 +202,8 @@ def cmd_embed(args) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     resolved: dict = {"dataset": str(args.dataset), "out": str(out_path)}
     if args.mock:
-        dim = args.dim or int(file_cfg.get("dim", 64))
-        seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
+        dim = int(_resolve(args.dim, file_cfg, "dim", default=64))
+        seed = int(_resolve(args.seed, file_cfg, "seed", default=0))
         matrix = embeddings.mock_embed(split.catalog, dim=dim, seed=seed)
         resolved.update({"mock": True, "dim": dim, "seed": seed})
         requests_made = 0
@@ -232,20 +257,17 @@ def cmd_diffuse(args) -> int:
 def _run_one_training(corpus: MergedCorpus, item_emb: np.ndarray, cfg: TrainConfig,
                       out: Path, inputs):
     params, log, diff = train(corpus, item_emb, cfg)
-    sources = [s.name for s in corpus.parts]
-    user_out, item_out = project(params, diff.user_final, diff.item_final)
-    reports = evaluate_per_part(corpus, user_out, item_out, cfg.eval_k,
-                                "test", "textgcn-mlp")
-    test_recall = float(np.mean([r.recall for r in reports]))
+    test_recall = head_recall(params, corpus, diff, cfg.eval_k, "test")
     # the checkpoint manifest doubles as the run manifest
-    meta = {"command": "train", "train_config": asdict(cfg), "sources": sources,
+    meta = {"command": "train", "train_config": asdict(cfg),
+            "sources": [part.name for part in corpus.parts],
             "best_epoch": log.best_epoch, "best_val_recall": log.best_val_recall,
             "resolved_pos_k": log.resolved_pos_k, "stop_reason": log.stop_reason,
             "test_recall": test_recall,
             "inputs": _input_checksums(inputs), "version": __version__}
     save_checkpoint(params, None, meta, out)
     (out / "log.jsonl").write_text(log.to_jsonl(), encoding="utf-8")
-    return params, log, test_recall
+    return log, test_recall
 
 
 def cmd_train(args) -> int:
@@ -260,8 +282,7 @@ def cmd_train(args) -> int:
         rows = []
         for label, variant_cfg in ablation_variants(cfg):
             vdir = out / label.replace("/", "_")
-            _, log, test_recall = _run_one_training(corpus, item_emb,
-                                                    variant_cfg, vdir, inputs)
+            log, test_recall = _run_one_training(corpus, item_emb, variant_cfg, vdir, inputs)
             rows.append((label, log.best_val_recall, test_recall, log.best_epoch))
         table = "variant\tval_recall\ttest_recall\tbest_epoch\n" + "".join(
             f"{label}\t{val:.6f}\t{test:.6f}\t{epoch}\n"
@@ -271,8 +292,7 @@ def cmd_train(args) -> int:
         _write_manifest(out, "train",
                         {"train_config": asdict(cfg), "ablation": True}, inputs)
     else:
-        _, log, test_recall = _run_one_training(corpus, item_emb, cfg,
-                                                out, inputs)
+        log, test_recall = _run_one_training(corpus, item_emb, cfg, out, inputs)
         print(f"best epoch {log.best_epoch}: val recall {log.best_val_recall:.6f} "
               f"test recall {test_recall:.6f} ({log.stop_reason})")
     return 0
@@ -281,46 +301,32 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     split = load_split(args.dataset)
     k = args.k
+    layers = args.layers
     if args.model == "random":
         report = baseline_random(split, k=k, seed=args.seed or 0, part=args.part)
     elif args.model == "pop":
         report = baseline_pop(split, k=k, part=args.part)
-    elif args.model == "textgcn":
-        if args.user_emb and args.item_emb:
-            user_out = _load_rows(args.user_emb, split.maps.user_ids)
-            item_out = _load_rows(args.item_emb, split.maps.item_ids)
-            report = evaluate(split, user_out, item_out, k=k, part=args.part,
-                              model="textgcn")
-        elif args.embeddings:
-            report = apply_zero_shot(None, split,
-                                     _load_rows(args.embeddings, split.maps.item_ids),
-                                     _layers(args.layers), k=k, part=args.part)
-        else:
+    elif args.model == "textgcn" and args.user_emb and args.item_emb:
+        user_out = _load_rows(args.user_emb, split.maps.user_ids)
+        item_out = _load_rows(args.item_emb, split.maps.item_ids)
+        report = evaluate(split, user_out, item_out, k=k, part=args.part, model="textgcn")
+    else:
+        mlp = args.model == "mlp"
+        if mlp and not (args.checkpoint and args.embeddings):
+            raise DataError("evaluate --model mlp needs --checkpoint and --embeddings")
+        if not args.embeddings:
             raise DataError("evaluate --model textgcn needs --embeddings or "
                             "--user-emb/--item-emb")
-    elif args.model == "mlp":
-        if not (args.checkpoint and args.embeddings):
-            raise DataError("evaluate --model mlp needs --checkpoint and --embeddings")
-        params, _, meta = load_checkpoint(args.checkpoint)
-        report = apply_zero_shot(params, split,
-                                 _load_rows(args.embeddings, split.maps.item_ids),
-                                 _layers(args.layers, meta), k=k, part=args.part)
-    else:
-        raise DataError(f"unknown model tag {args.model!r}")
+        user_out, item_out, layers = _model_tables(split, args,
+                                                   args.checkpoint if mlp else None)
+        report = evaluate(split, user_out, item_out, k=k, part=args.part,
+                          model="textgcn-mlp-zero-shot" if mlp else "textgcn")
     line = report.to_json()
     print(line)
     if args.out:
-        out = Path(args.out)
-        out.write_text(line + "\n", encoding="utf-8")
-        inputs = {"dataset": Path(args.dataset)}
-        for name in ("embeddings", "user_emb", "item_emb", "checkpoint"):
-            value = getattr(args, name, None)
-            if value:
-                inputs[name] = Path(value)
-        _write_manifest(out.parent, "evaluate",
-                        {"model": args.model, "k": k, "part": args.part,
-                         "seed": args.seed, "layers": args.layers,
-                         "out": str(out)}, inputs)
+        _write_output(args, "evaluate", line + "\n",
+                      {"model": args.model, "k": k, "part": args.part,
+                       "seed": args.seed, "layers": layers})
     return 0
 
 
@@ -377,18 +383,8 @@ def cmd_tune(args) -> int:
 
 def cmd_recommend(args) -> int:
     split = load_split(args.dataset)
-    item_emb = _load_rows(args.embeddings, split.maps.item_ids)
-    params, meta = None, None
-    if args.checkpoint:
-        params, _, meta = load_checkpoint(args.checkpoint,
-                                          expected_d_in=item_emb.shape[1])
-    layers = _layers(args.layers, meta)
-    diff = diffuse(split.train, item_emb, layers)
-    if params is not None:
-        user_out, item_out = project(params, diff.user_final, diff.item_final)
-    else:
-        user_out, item_out = diff.user_final, diff.item_final
-
+    user_out, item_out, layers = _model_tables(split, args, args.checkpoint)
+    item_unit = unit_rows(item_out)
     lines = []
     for ext in args.users.split(","):
         ext = ext.strip()
@@ -397,21 +393,15 @@ def cmd_recommend(args) -> int:
         u = split.maps.user_to_dense[ext]
         if split.train.user_degrees[u] == 0:
             raise DataError(f"user {ext!r} has no training history")
-        ranking = recommend_topk(user_out[u], item_out, split.train.items_of(u),
+        ranking = recommend_unit(user_out[u], item_unit, split.train.items_of(u),
                                  args.k, user=u)
         items = "\t".join(split.maps.item_ids[i] for i in ranking.items)
         lines.append(f"{ext}\t{items}")
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:
-        out = Path(args.out)
-        out.write_text(text, encoding="utf-8")
-        inputs = {"dataset": Path(args.dataset), "embeddings": Path(args.embeddings)}
-        if args.checkpoint:
-            inputs["checkpoint"] = Path(args.checkpoint)
-        _write_manifest(out.parent, "recommend",
-                        {"users": args.users, "k": args.k, "layers": layers,
-                         "out": str(out)}, inputs)
+        _write_output(args, "recommend", text,
+                      {"users": args.users, "k": args.k, "layers": layers})
     return 0
 
 

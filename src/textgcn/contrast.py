@@ -19,23 +19,6 @@ from .corpus import InteractionMatrix
 from .errors import DataError
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Positives per user, negatives per user, softmax temperature, seed."""
-
-    pos_k: int
-    neg_j: int
-    temperature: float
-    seed: int = 0
-    batch_users: int = 1024
-
-    def __post_init__(self):
-        if self.pos_k < 1 or self.neg_j < 1 or self.batch_users < 1:
-            raise DataError("pos_k, neg_j and batch_users must be >= 1")
-        if self.temperature <= 0:
-            raise DataError("temperature must be > 0")
-
-
 @dataclass
 class ContrastBatch:
     """Sampled indices, all in the global item namespace."""
@@ -43,10 +26,6 @@ class ContrastBatch:
     users: np.ndarray       # (B,)
     positives: np.ndarray   # (B, k)
     negatives: np.ndarray   # (B, J)
-
-
-def _user_rng(seed: int, epoch: int, user: int) -> np.random.Generator:
-    return np.random.default_rng((seed, epoch, int(user)))
 
 
 def _sample_negatives(rng: np.random.Generator, interacted: np.ndarray,
@@ -67,25 +46,25 @@ def _sample_negatives(rng: np.random.Generator, interacted: np.ndarray,
 
 
 def sample_batch(train: InteractionMatrix, users: np.ndarray | list[int],
-                 cfg: SamplerConfig, epoch: int) -> ContrastBatch:
-    """Draw positives and negatives for one batch of users.
+                 pos_k: int, neg_j: int, seed: int, epoch: int) -> ContrastBatch:
+    """Draw ``pos_k`` positives and ``neg_j`` negatives for each user of a batch.
 
     Positives are uniform without replacement when the user has at least k
     training items, otherwise with replacement so the count is always
     exactly k.
     """
     users = np.asarray(users, dtype=np.int64)
-    positives = np.empty((len(users), cfg.pos_k), dtype=np.int64)
-    negatives = np.empty((len(users), cfg.neg_j), dtype=np.int64)
+    positives = np.empty((len(users), pos_k), dtype=np.int64)
+    negatives = np.empty((len(users), neg_j), dtype=np.int64)
     for row, u in enumerate(users):
         items = train.items_of(int(u))
         if len(items) == 0:
             raise DataError(f"user {u} has zero train degree")
         if len(items) >= train.n_items:
             raise DataError(f"no negatives available for user {u}")
-        rng = _user_rng(cfg.seed, epoch, int(u))
-        positives[row] = rng.choice(items, size=cfg.pos_k, replace=len(items) < cfg.pos_k)
-        negatives[row] = _sample_negatives(rng, items, train.n_items, cfg.neg_j)
+        rng = np.random.default_rng((seed, epoch, int(u)))
+        positives[row] = rng.choice(items, size=pos_k, replace=len(items) < pos_k)
+        negatives[row] = _sample_negatives(rng, items, train.n_items, neg_j)
     return ContrastBatch(users=users, positives=positives, negatives=negatives)
 
 

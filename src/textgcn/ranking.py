@@ -1,12 +1,12 @@
 """Top-k recommendation by cosine similarity, ranking metrics, baselines.
 
 Candidates are always the items the user has not interacted with in
-training. One kernel, ``_topk_rows``, ranks for ``recommend_topk``,
-``evaluate`` and both baselines: a row's top k by score descending, ties
-broken by ascending item index, so rankings are reproducible and equal a
-full stable sort. Per-user metrics are averaged with exactly rounded
-summation (math.fsum), making the report independent of user iteration
-order.
+training. One kernel, ``_topk_rows``, ranks for ``recommend_topk`` (through
+``recommend_unit``), ``evaluate`` and both baselines: a row's top k by
+score descending, ties broken by ascending item index, so rankings are
+reproducible and equal a full stable sort. Per-user metrics are averaged
+with exactly rounded summation (math.fsum), making the report independent
+of user iteration order.
 """
 
 from __future__ import annotations
@@ -98,13 +98,22 @@ def recommend_topk(user_vec: np.ndarray, item_emb: np.ndarray,
     Zero-norm item rows score 0. Fewer than k candidates returns them all
     with the truncated flag set.
     """
+    return recommend_unit(user_vec, unit_rows(item_emb), exclude, k, user=user)
+
+
+def recommend_unit(user_vec: np.ndarray, item_unit: np.ndarray,
+                   exclude: set[int] | np.ndarray, k: int,
+                   user: int | None = None) -> Ranking:
+    """``recommend_topk`` over an item table already passed through ``unit_rows``.
+
+    Serving many users from one table normalizes it once, not per user.
+    """
     if k < 1:
         raise DataError("k must be >= 1")
     user_vec = np.asarray(user_vec, dtype=np.float32)
     norm = np.linalg.norm(user_vec)
     if norm == 0:
         raise DataError("zero user vector")
-    item_unit = unit_rows(item_emb)
     scores = item_unit @ (user_vec / norm)
     scores[np.asarray(list(exclude) if isinstance(exclude, set) else exclude,
                       dtype=np.int64)] = -np.inf

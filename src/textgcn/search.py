@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,9 +96,15 @@ class TrialStore:
     def put(self, key: str, record: TrialRecord) -> None:
         self._mem[key] = record
         if self.directory is not None:
-            tmp = self.directory / f".{key}.tmp"
-            tmp.write_text(record.to_json() + "\n", encoding="utf-8")
-            os.replace(tmp, self.directory / f"{key}.json")
+            # a private temp name: processes sharing the directory may write one key at once
+            fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f".{key}.", suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(record.to_json() + "\n")
+                os.replace(tmp, self.directory / f"{key}.json")
+            except BaseException:
+                os.unlink(tmp)
+                raise
 
     def records(self) -> list[TrialRecord]:
         return list(self._mem.values())

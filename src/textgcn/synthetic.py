@@ -63,20 +63,18 @@ def generate_clustered_split(cfg: SyntheticConfig) -> DatasetSplit:
 
     rows: list[list[int]] = []
     for user in range(cfg.n_users):
-        home = user % cfg.n_clusters
+        home = item_clusters == user % cfg.n_clusters
         degree = int(rng.integers(cfg.min_degree, cfg.max_degree + 1))
         in_home = rng.random(degree) < cfg.purity
-        chosen: set[int] = set()
+        taken = np.zeros(cfg.n_items, dtype=bool)
         for stay in in_home:
-            pool = np.flatnonzero(
-                (item_clusters == home) if stay or cfg.n_clusters == 1
-                else (item_clusters != home))
-            pool = np.asarray([i for i in pool if i not in chosen])
+            side = home if stay or cfg.n_clusters == 1 else ~home
+            pool = np.flatnonzero(side & ~taken)
             if len(pool) == 0:
                 continue
             w = weights[pool]
-            chosen.add(int(rng.choice(pool, p=w / w.sum())))
-        rows.append(sorted(chosen))
+            taken[rng.choice(pool, p=w / w.sum())] = True
+        rows.append(np.flatnonzero(taken).tolist())
 
     maps = IdMaps()
     for user in range(cfg.n_users):

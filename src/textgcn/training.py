@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contrast import SamplerConfig, kcl_loss, localize_batch, sample_batch
-from .corpus import DatasetSplit, MergedCorpus, interaction_quantile, merge_corpora
+from .contrast import kcl_loss, localize_batch, sample_batch
+from .corpus import (DatasetSplit, InteractionMatrix, MergedCorpus, interaction_quantile,
+                     merge_corpora)
 from .diffusion import DiffusionOutput, diffuse
 from .errors import DataError
 from .ranking import MetricsReport, evaluate
@@ -49,6 +50,11 @@ class TrainConfig:
             raise DataError(f"unknown tower mode {self.tower_mode!r}")
         if self.eval_every < 1:
             raise DataError("eval_every must be >= 1")
+        if ((self.pos_k is not None and self.pos_k < 1) or self.neg_samples < 1
+                or self.batch_users < 1):
+            raise DataError("pos_k, neg_j and batch_users must be >= 1")
+        if self.temperature <= 0:
+            raise DataError("temperature must be > 0")
 
 
 @dataclass
@@ -79,8 +85,6 @@ class TrainLog:
 
 def resolve_pos_k(train, cfg: TrainConfig) -> int:
     if cfg.pos_k is not None:
-        if cfg.pos_k < 1:
-            raise DataError("pos_k must be >= 1")
         return cfg.pos_k
     return interaction_quantile(train, cfg.pos_quantile)
 
@@ -107,16 +111,16 @@ def _branch_grads(params: TwoTowerParams, user_tape, item_tape,
 
 
 def _train_epoch(train, diff: DiffusionOutput, params: TwoTowerParams,
-                 adam: AdamState, sampler_cfg: SamplerConfig,
-                 users: np.ndarray, epoch: int, seed: int) -> float:
-    rng = np.random.default_rng((seed, epoch))
+                 adam: AdamState, cfg: TrainConfig, pos_k: int,
+                 users: np.ndarray, epoch: int) -> float:
+    rng = np.random.default_rng((cfg.seed, epoch))
     order = rng.permutation(users)
-    batch_size = sampler_cfg.batch_users
+    batch_size = cfg.batch_users
     total = 0.0
     tensors = params.named_tensors()
     for index, start in enumerate(range(0, len(order), batch_size)):
         batch_users = order[start:start + batch_size]
-        batch = sample_batch(train, batch_users, sampler_cfg, epoch)
+        batch = sample_batch(train, batch_users, pos_k, cfg.neg_samples, cfg.seed, epoch)
         unique_items, pos_local, neg_local = localize_batch(batch)
 
         user_in = diff.user_final[batch.users]
@@ -126,7 +130,7 @@ def _train_epoch(train, diff: DiffusionOutput, params: TwoTowerParams,
 
         try:
             loss, d_user, d_item = kcl_loss(user_out, item_out, pos_local, neg_local,
-                                            sampler_cfg.temperature)
+                                            cfg.temperature)
             grads = _branch_grads(params, user_tape, item_tape, d_user, d_item)
             adam_step(tensors, grads, adam)
         except DataError as err:
@@ -143,9 +147,6 @@ def _run_loop(train, diff: DiffusionOutput, cfg: TrainConfig,
                                  mode=cfg.tower_mode, seed=cfg.seed)
     adam = AdamState(params.named_tensors(), lr=cfg.lr)
     pos_k = resolve_pos_k(train, cfg)
-    sampler_cfg = SamplerConfig(pos_k=pos_k, neg_j=cfg.neg_samples,
-                                temperature=cfg.temperature, seed=cfg.seed,
-                                batch_users=cfg.batch_users)
     users = np.flatnonzero(train.user_degrees > 0)
     if len(users) == 0:
         raise DataError("no trainable users (all train degrees are zero)")
@@ -154,8 +155,7 @@ def _run_loop(train, diff: DiffusionOutput, cfg: TrainConfig,
     best_params = params.copy()
     stale = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        loss = _train_epoch(train, diff, params, adam, sampler_cfg,
-                            users, epoch, cfg.seed)
+        loss = _train_epoch(train, diff, params, adam, cfg, pos_k, users, epoch)
         val_recall = eval_fn(params) if epoch % cfg.eval_every == 0 else None
         log.epochs.append(EpochRecord(epoch=epoch, loss=loss, val_recall=val_recall))
         if val_recall is not None:
@@ -174,17 +174,17 @@ def _run_loop(train, diff: DiffusionOutput, cfg: TrainConfig,
     return best_params, log
 
 
-def evaluate_per_part(corpus: MergedCorpus, user_out: np.ndarray,
-                      item_out: np.ndarray, k: int, part: str,
-                      model: str) -> list[MetricsReport]:
-    """Slice merged projections back into parts and score each one."""
-    reports = []
+def head_recall(params: TwoTowerParams, corpus: MergedCorpus, diff: DiffusionOutput,
+                k: int, part: str) -> float:
+    """Unweighted mean over the corpus's parts of the towers' recall@k on ``part``."""
+    user_out, item_out = project(params, diff.user_final, diff.item_final)
+    recalls = []
     for p, split in enumerate(corpus.parts):
         u_lo, u_hi = corpus.part_user_range(p)
         i_lo, i_hi = corpus.part_item_range(p)
-        reports.append(evaluate(split, user_out[u_lo:u_hi], item_out[i_lo:i_hi],
-                                k=k, part=part, model=model))
-    return reports
+        recalls.append(evaluate(split, user_out[u_lo:u_hi], item_out[i_lo:i_hi],
+                                k=k, part=part, model="textgcn-mlp").recall)
+    return float(np.mean(recalls))
 
 
 def train(data: DatasetSplit | MergedCorpus, item_emb: np.ndarray,
@@ -193,20 +193,31 @@ def train(data: DatasetSplit | MergedCorpus, item_emb: np.ndarray,
 
     A single split trains as a one-part corpus. Several corpora train
     jointly on the block-diagonal merged graph, with ``item_emb`` stacked
-    in part order. The model-selection metric is the unweighted mean of
-    per-part validation recalls, which for one part is its own recall.
+    in part order. The model-selection metric is ``head_recall`` on the
+    validation part, which for one part is its own recall.
     """
     corpus = merge_corpora([data]) if isinstance(data, DatasetSplit) else data
     diff = diffuse(corpus.train, item_emb, cfg.n_layers)
-
-    def eval_fn(params: TwoTowerParams) -> float:
-        user_out, item_out = project(params, diff.user_final, diff.item_final)
-        reports = evaluate_per_part(corpus, user_out, item_out,
-                                    cfg.eval_k, "val", "textgcn-mlp")
-        return float(np.mean([r.recall for r in reports]))
-
-    params, log = _run_loop(corpus.train, diff, cfg, eval_fn)
+    params, log = _run_loop(corpus.train, diff, cfg,
+                            lambda p: head_recall(p, corpus, diff, cfg.eval_k, "val"))
     return params, log, diff
+
+
+def model_outputs(params: TwoTowerParams | None, train: InteractionMatrix,
+                  item_emb: np.ndarray, n_layers: int) -> tuple[np.ndarray, np.ndarray]:
+    """User and item tables of a model: diffusion over ``train``, then the towers if any.
+
+    With ``params`` None this is the training-free model: the diffusion
+    output itself. Evaluation, zero-shot transfer and serving all score
+    these tables.
+    """
+    if params is not None and params.user_mlp.d_in != item_emb.shape[1]:
+        raise DataError(f"checkpoint dimension mismatch: d_in {params.user_mlp.d_in} != "
+                        f"embedding dim {item_emb.shape[1]}")
+    diff = diffuse(train, item_emb, n_layers)
+    if params is None:
+        return diff.user_final, diff.item_final
+    return project(params, diff.user_final, diff.item_final)
 
 
 def apply_zero_shot(params: TwoTowerParams | None, target: DatasetSplit,
@@ -217,17 +228,8 @@ def apply_zero_shot(params: TwoTowerParams | None, target: DatasetSplit,
     Target embeddings are diffused from the target's own train graph; no
     IDs cross between corpora, only embedding geometry.
     """
-    diff = diffuse(target.train, target_item_emb, n_layers)
-    if params is None:
-        user_out, item_out = diff.user_final, diff.item_final
-        model = "textgcn"
-    else:
-        if params.user_mlp.d_in != diff.item_final.shape[1]:
-            raise DataError(
-                f"checkpoint dimension mismatch: d_in {params.user_mlp.d_in} != "
-                f"embedding dim {diff.item_final.shape[1]}")
-        user_out, item_out = project(params, diff.user_final, diff.item_final)
-        model = "textgcn-mlp-zero-shot"
+    user_out, item_out = model_outputs(params, target.train, target_item_emb, n_layers)
+    model = "textgcn" if params is None else "textgcn-mlp-zero-shot"
     return evaluate(target, user_out, item_out, k=k, part=part, model=model)
 
 

@@ -10,7 +10,9 @@ import pytest
 from textgcn.cli import build_parser, main
 from textgcn.corpus import load_split
 from textgcn.embeddings import load_matrix
-from textgcn.ranking import baseline_pop
+from textgcn.ranking import baseline_pop, recommend_topk
+from textgcn.tower import load_checkpoint
+from textgcn.training import model_outputs
 
 from conftest import write_dataset
 
@@ -265,6 +267,92 @@ def test_recommend_uses_checkpoint_depth(dataset_dir, mock_embeddings, tmp_path,
     assert outputs["l2"] != outputs["l0"]   # the depth is visible in the lists
 
 
+@pytest.fixture(scope="module")
+def checkpoint(dataset_dir, mock_embeddings, tmp_path_factory):
+    """A short depth-1 training run; commands given it default to depth 1."""
+    ck = tmp_path_factory.mktemp("ck") / "ck"
+    assert main(["train", "--dataset", str(dataset_dir),
+                 "--embeddings", str(mock_embeddings), "--out", str(ck),
+                 "--layers", "1", "--seed", "2", "--max-epochs", "2",
+                 "--out-dim", "8", "--neg", "16", "--batch", "16"]) == 0
+    return ck
+
+
+def test_recommend_matches_per_user_library_calls(dataset_dir, mock_embeddings, checkpoint,
+                                                  capsys):
+    split = load_split(dataset_dir)
+    emb = load_matrix(mock_embeddings)
+    ids = split.maps.user_ids
+    users = [ids[3], ids[0], ids[7], ids[0]]
+    for params in (None, load_checkpoint(checkpoint)[0]):
+        layers = 2 if params is None else 1
+        user_out, item_out = model_outputs(params, split.train, emb, layers)
+        want = ""
+        for ext in users:
+            u = split.maps.user_to_dense[ext]
+            ranking = recommend_topk(user_out[u], item_out, split.train.items_of(u), 6, user=u)
+            want += "\t".join([ext] + [split.maps.item_ids[i] for i in ranking.items]) + "\n"
+        argv = ["recommend", "--dataset", str(dataset_dir), "--embeddings",
+                str(mock_embeddings), "--users", ",".join(users), "--k", "6"]
+        capsys.readouterr()
+        assert main(argv + ([] if params is None else ["--checkpoint", str(checkpoint)])) == 0
+        assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--model", "mlp"],
+    ["recommend", "--users", "u0"],
+], ids=lambda command: command[0])
+def test_checkpoint_dimension_mismatch_exit2(command, dataset_dir, checkpoint, tmp_path,
+                                             capsys):
+    narrow = tmp_path / "narrow.tge"
+    assert main(["embed", "--dataset", str(dataset_dir), "--out", str(narrow),
+                 "--mock", "--dim", "8"]) == 0
+    capsys.readouterr()
+    assert main([command[0], "--dataset", str(dataset_dir), "--embeddings", str(narrow),
+                 "--checkpoint", str(checkpoint), *command[1:]]) == 2
+    assert "checkpoint dimension mismatch" in capsys.readouterr().err
+
+
+def test_out_into_missing_directory_records_depth_used(dataset_dir, mock_embeddings,
+                                                       checkpoint, tmp_path):
+    common = ["--dataset", str(dataset_dir), "--embeddings", str(mock_embeddings)]
+    runs = {
+        "evaluate-textgcn": (["evaluate", "--model", "textgcn"], 2),
+        "evaluate-mlp": (["evaluate", "--model", "mlp", "--checkpoint", str(checkpoint)], 1),
+        "evaluate-mlp-l2": (["evaluate", "--model", "mlp", "--checkpoint", str(checkpoint),
+                             "--layers", "2"], 2),
+        "recommend-mlp": (["recommend", "--users", "u0", "--checkpoint", str(checkpoint)], 1),
+    }
+    for name, (argv, depth) in runs.items():
+        out = tmp_path / "new" / name / "out.txt"
+        assert main(argv[:1] + common + argv[1:] + ["--out", str(out)]) == 0
+        assert out.read_text()
+        manifest = json.loads((out.parent / "manifest.json").read_text())
+        assert manifest["config"]["layers"] == depth, name
+
+
+def test_embed_mock_dim_zero_exit2(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "zero.tge"
+    assert main(["embed", "--dataset", str(dataset_dir), "--out", str(out),
+                 "--mock", "--dim", "0"]) == 2
+    assert "dim must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--neg", "0"], "pos_k, neg_j and batch_users must be >= 1"),
+    (["--batch", "0"], "pos_k, neg_j and batch_users must be >= 1"),
+    (["--pos", "0"], "pos_k, neg_j and batch_users must be >= 1"),
+    (["--tau", "0"], "temperature must be > 0"),
+], ids=["neg", "batch", "pos", "tau"])
+def test_bad_head_config_exit2_before_loading(flag, message, tmp_path, capsys):
+    # the dataset does not exist: the config check has to come first
+    assert main(["train", "--dataset", str(tmp_path / "absent"), "--embeddings",
+                 str(tmp_path / "absent.tge"), "--out", str(tmp_path / "o"), *flag]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_tune_pos_stage(dataset_dir, mock_embeddings, tmp_path, capsys):
     records = tmp_path / "records"
     code = main(["tune", "--dataset", str(dataset_dir),
@@ -386,7 +474,6 @@ def test_joint_training_two_datasets(tmp_path):
     manifest = json.loads((ck / "manifest.json").read_text())
     assert manifest["meta"]["train_config"]["seed"] == 0
     # checkpoint manifest lists both source datasets
-    from textgcn.tower import load_checkpoint
     _, _, meta = load_checkpoint(ck)
     assert len(meta["sources"]) == 2
 

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from textgcn.contrast import (ContrastBatch, SamplerConfig, kcl_loss, localize_batch,
-                              sample_batch)
+from textgcn.contrast import ContrastBatch, kcl_loss, localize_batch, sample_batch
 from textgcn.corpus import InteractionMatrix
 from textgcn.errors import DataError
 
@@ -99,21 +98,18 @@ def test_matches_rowwise_reference(rng, n_users, n_items, dim, k, n_neg, chunk):
 class TestSampler:
     def test_with_replacement_when_short(self):
         train = InteractionMatrix.from_rows(1, 10, [[2, 5, 7]])
-        cfg = SamplerConfig(pos_k=5, neg_j=3, temperature=1.0, seed=1)
-        batch = sample_batch(train, [0], cfg, epoch=0)
+        batch = sample_batch(train, [0], pos_k=5, neg_j=3, seed=1, epoch=0)
         assert batch.positives.shape == (1, 5)
         assert set(batch.positives.ravel().tolist()) <= {2, 5, 7}
 
     def test_without_replacement_when_enough(self):
         train = InteractionMatrix.from_rows(1, 10, [[0, 1, 2, 3, 4, 5]])
-        cfg = SamplerConfig(pos_k=4, neg_j=2, temperature=1.0, seed=1)
-        batch = sample_batch(train, [0], cfg, epoch=0)
+        batch = sample_batch(train, [0], pos_k=4, neg_j=2, seed=1, epoch=0)
         assert len(set(batch.positives[0].tolist())) == 4
 
     def test_negatives_exclude_interactions(self, rng):
         train = random_interactions(rng, 20, 15, 10)
-        cfg = SamplerConfig(pos_k=2, neg_j=8, temperature=1.0, seed=3)
-        batch = sample_batch(train, np.arange(20), cfg, epoch=2)
+        batch = sample_batch(train, np.arange(20), pos_k=2, neg_j=8, seed=3, epoch=2)
         for row, u in enumerate(batch.users):
             interacted = set(train.items_of(int(u)).tolist())
             assert not (set(batch.negatives[row].tolist()) & interacted)
@@ -121,31 +117,29 @@ class TestSampler:
 
     def test_all_items_interacted_errors(self):
         train = InteractionMatrix.from_rows(1, 3, [[0, 1, 2]])
-        cfg = SamplerConfig(pos_k=1, neg_j=1, temperature=1.0)
         with pytest.raises(DataError, match="no negatives available"):
-            sample_batch(train, [0], cfg, epoch=0)
+            sample_batch(train, [0], pos_k=1, neg_j=1, seed=0, epoch=0)
 
     def test_zero_degree_errors(self):
         train = InteractionMatrix.from_rows(2, 3, [[0], []])
-        cfg = SamplerConfig(pos_k=1, neg_j=1, temperature=1.0)
         with pytest.raises(DataError, match="zero train degree"):
-            sample_batch(train, [1], cfg, epoch=0)
+            sample_batch(train, [1], pos_k=1, neg_j=1, seed=0, epoch=0)
 
     def test_deterministic_streams(self, rng):
         train = random_interactions(rng, 10, 30, 6)
-        cfg = SamplerConfig(pos_k=3, neg_j=5, temperature=1.0, seed=9)
-        a = sample_batch(train, np.arange(10), cfg, epoch=4)
-        b = sample_batch(train, np.arange(10), cfg, epoch=4)
+        sampling = dict(pos_k=3, neg_j=5, seed=9)
+        a = sample_batch(train, np.arange(10), **sampling, epoch=4)
+        b = sample_batch(train, np.arange(10), **sampling, epoch=4)
         assert np.array_equal(a.positives, b.positives)
         assert np.array_equal(a.negatives, b.negatives)
         # stream depends only on (seed, epoch, user): a permuted user list
         # yields the same draws per user
         perm = rng.permutation(10)
-        c = sample_batch(train, perm, cfg, epoch=4)
+        c = sample_batch(train, perm, **sampling, epoch=4)
         back = np.argsort(perm)
         assert np.array_equal(c.positives[back], a.positives)
         assert np.array_equal(c.negatives[back], a.negatives)
-        d = sample_batch(train, np.arange(10), cfg, epoch=5)
+        d = sample_batch(train, np.arange(10), **sampling, epoch=5)
         assert not np.array_equal(a.negatives, d.negatives)
 
 

@@ -140,6 +140,19 @@ def test_store_atomic_persistence(tmp_path):
     assert again.get(config_hash(record.config)) == record
 
 
+def test_store_put_uses_a_private_temp_name(tmp_path):
+    # a fixed temp name is shared by every process writing the same key; a
+    # directory there stands in for another writer holding that name
+    store = TrialStore(tmp_path / "rec")
+    record = TrialRecord(config={"lr": 1e-3}, val_recall=0.4, wall_time=0.1)
+    key = config_hash(record.config)
+    (tmp_path / "rec" / f".{key}.tmp").mkdir()
+    store.put(key, record)
+    assert TrialStore(tmp_path / "rec").get(key) == record
+    # no temp file is left behind
+    assert sorted(p.name for p in (tmp_path / "rec").iterdir()) == [f".{key}.tmp", f"{key}.json"]
+
+
 def test_summary_tsv_sorted():
     records = [TrialRecord({"lr": 1e-3}, 0.2, 0.1),
                TrialRecord({"lr": 5e-4}, 0.9, 0.1),

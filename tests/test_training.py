@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from textgcn.contrast import kcl_loss, localize_batch, sample_batch, SamplerConfig
+from textgcn.contrast import kcl_loss, localize_batch, sample_batch
 from textgcn.corpus import merge_corpora
 from textgcn.diffusion import diffuse
 from textgcn.errors import DataError
@@ -109,8 +109,7 @@ def test_one_and_two_tower_same_first_loss(tiny_dataset):
     assert twin.mode == "two"
 
     users = np.flatnonzero(split.train.user_degrees > 0)[:16]
-    cfg = SamplerConfig(pos_k=2, neg_j=8, temperature=0.2, seed=1)
-    batch = sample_batch(split.train, users, cfg, epoch=0)
+    batch = sample_batch(split.train, users, pos_k=2, neg_j=8, seed=1, epoch=0)
     items, pos_local, neg_local = localize_batch(batch)
     losses = []
     for params in (shared, twin):

@@ -1,0 +1,95 @@
+"""Hash every artifact and the stdout of one short CLI pipeline run.
+
+Usage: python tools/artifact_digest.py [SRC]
+
+Imports textgcn from SRC (default: this checkout's ``src/``) and runs, in a
+fresh temporary directory and with relative paths only: ``ingest
+--synthetic``, ``embed --mock``, ``diffuse``, a short ``train``, ``evaluate``
+for every model tag (``textgcn`` both from raw embeddings and from the
+diffused files), and ``recommend`` with and without the checkpoint, each
+asking for one user twice. It prints one ``sha256  path`` line per file the
+commands wrote, then one for their concatenated stdout.
+
+Two source trees that print the same lines produce byte-identical outputs
+for these commands: run it on a parent and on a change and diff the two
+listings. Output directories are created before each command, so trees
+whose ``--out`` needs an existing directory run too.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+SYNTH = "clusters:2,users:60,items:40,seed:3,min_degree:5,max_degree:8"
+USERS = "u0,u3,u0"
+COMMANDS = [
+    ["ingest", "--synthetic", SYNTH, "--out", "data"],
+    ["embed", "--dataset", "data", "--out", "emb/items.tge", "--mock", "--dim", "16",
+     "--seed", "3"],
+    ["diffuse", "--dataset", "data", "--embeddings", "emb/items.tge", "--layers", "2",
+     "--out", "diffused"],
+    # depth 1, so commands that default to the checkpoint's depth differ from depth 2
+    ["train", "--dataset", "data", "--embeddings", "emb/items.tge", "--out", "ckpt",
+     "--layers", "1", "--seed", "1", "--max-epochs", "3", "--out-dim", "8", "--neg", "16",
+     "--batch", "16"],
+    ["evaluate", "--dataset", "data", "--model", "random", "--seed", "4",
+     "--out", "eval/random/report.json"],
+    ["evaluate", "--dataset", "data", "--model", "pop", "--out", "eval/pop/report.json"],
+    ["evaluate", "--dataset", "data", "--model", "textgcn", "--embeddings", "emb/items.tge",
+     "--out", "eval/textgcn/report.json"],
+    ["evaluate", "--dataset", "data", "--model", "textgcn",
+     "--user-emb", "diffused/user_final.tge", "--item-emb", "diffused/item_final.tge",
+     "--out", "eval/textgcn-files/report.json"],
+    ["evaluate", "--dataset", "data", "--model", "mlp", "--checkpoint", "ckpt",
+     "--embeddings", "emb/items.tge", "--out", "eval/mlp/report.json"],
+    ["recommend", "--dataset", "data", "--embeddings", "emb/items.tge", "--users", USERS,
+     "--k", "5", "--out", "recs/plain/recs.tsv"],
+    ["recommend", "--dataset", "data", "--embeddings", "emb/items.tge", "--checkpoint", "ckpt",
+     "--users", USERS, "--k", "5", "--out", "recs/mlp/recs.tsv"],
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_lines(main) -> list[str]:
+    """Run COMMANDS through ``main`` in the current directory; one line per artifact."""
+    stdout = io.StringIO()
+    for argv in COMMANDS:
+        Path(argv[argv.index("--out") + 1]).parent.mkdir(parents=True, exist_ok=True)
+        stdout.write("$ textgcn " + " ".join(argv) + "\n")
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        if code != 0:
+            raise SystemExit(f"textgcn {' '.join(argv)} exited {code}")
+    files = sorted(p for p in Path(".").rglob("*") if p.is_file())
+    lines = [f"{_sha256(p.read_bytes())}  {p.as_posix()}" for p in files]
+    return lines + [f"{_sha256(stdout.getvalue().encode('utf-8'))}  <stdout>"]
+
+
+def main(argv: list[str]) -> int:
+    src = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(src.resolve()))
+    from textgcn.cli import main as textgcn_main
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            lines = digest_lines(textgcn_main)
+        finally:
+            os.chdir(cwd)
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
