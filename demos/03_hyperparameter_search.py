@@ -11,8 +11,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from textgcn.embeddings import mock_embed
-from textgcn.search import (SearchSpace, TrialStore, greedy_stage, grid_stage,
-                            pos_quantile_sweep, summary_tsv)
+from textgcn.search import TrialStore, greedy_stage, grid_stage, pos_quantile_sweep, summary_tsv
 from textgcn.synthetic import SyntheticConfig, generate_clustered_split
 from textgcn.training import TrainConfig, train
 
@@ -39,24 +38,21 @@ store = TrialStore(records_dir)
 # ------------------------------------------------- stage 1: broad greedy
 # Small lists keep the demo quick; the shipped BROAD_VALUES cover the full
 # published ranges.
-space = SearchSpace(
-    values={"n_layers": [1, 2, 3], "d_out": [8, 16, 32], "lr": [1e-4, 5e-4, 1e-3]},
-    defaults={"n_layers": 2, "d_out": 16, "lr": 5e-4},
-)
-best_per_param, _ = greedy_stage(space, runner, store)
+values = {"n_layers": [1, 2, 3], "d_out": [8, 16, 32], "lr": [1e-4, 5e-4, 1e-3]}
+defaults = {"n_layers": 2, "d_out": 16, "lr": 5e-4}
+best_per_param = greedy_stage(values, defaults, runner, store)
 print(f"broad stage: {trials_run[0]} trials (the all-defaults config ran once)")
 print(f"best value per parameter: {best_per_param}\n")
 
 # --------------------------------------------------- stage 2: narrow grid
 narrow = {"n_layers": sorted({best_per_param['n_layers'], 2}),
           "d_out": sorted({best_per_param['d_out'], 32})}
-best_config, _ = grid_stage(narrow, space.defaults, runner, store)
+best_config = grid_stage(narrow, defaults, runner, store)
 print(f"narrow grid over {narrow}")
 print(f"best config: {best_config}\n")
 
 # --------------------------------------------- positive-count policy sweep
-best_pos, _ = pos_quantile_sweep(best_config, runner,
-                                 quantiles=[0.25, 0.5, 0.75], store=store)
+best_pos = pos_quantile_sweep([0.25, 0.5, 0.75], best_config, runner, store)
 policy = (f"quantile {best_pos['pos_quantile']}" if best_pos.get("pos_k") is None
           else f"fixed k={best_pos['pos_k']}")
 print(f"positive-count sweep winner: {policy}\n")
@@ -64,7 +60,7 @@ print(f"positive-count sweep winner: {policy}\n")
 # ------------------------------------------------------------ resumption
 before = trials_run[0]
 resumed = TrialStore(records_dir)          # fresh process would do the same
-greedy_stage(space, runner, resumed)
+greedy_stage(values, defaults, runner, resumed)
 print(f"re-running the broad stage recomputed {trials_run[0] - before} trials")
 print(f"\nrecords live in {records_dir}; summary:\n")
 print(summary_tsv(resumed.records())[:600])

@@ -143,15 +143,15 @@ def _load_rows(path: str, expected_ids: list[str]) -> np.ndarray:
     return matrix
 
 
-def _model_tables(split, args, checkpoint: str | None) -> tuple[np.ndarray, np.ndarray, int]:
-    """User and item tables of --embeddings and an optional checkpoint, plus the depth used.
+def _model_tables(split, args) -> tuple[np.ndarray, np.ndarray, int]:
+    """User and item tables of --embeddings and an optional --checkpoint, plus the depth used.
 
     The tables come from ``model_outputs`` over the split's train graph.
     """
     item_emb = _load_rows(args.embeddings, split.maps.item_ids)
     params, meta = None, None
-    if checkpoint:
-        params, _, meta = load_checkpoint(checkpoint)
+    if args.checkpoint:
+        params, _, meta = load_checkpoint(args.checkpoint)
     layers = _layers(args.layers, meta)
     return (*model_outputs(params, split.train, item_emb, layers), layers)
 
@@ -298,7 +298,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _evaluate_inputs(args) -> None:
+    """Reject a file flag the chosen model does not read, and a missing one it needs."""
+    if args.model == "textgcn":
+        reads = ("user_emb", "item_emb") if args.user_emb or args.item_emb else ("embeddings",)
+    else:
+        reads = ("checkpoint", "embeddings") if args.model == "mlp" else ()
+    flag = lambda name: "--" + name.replace("_", "-")
+    for name in ("embeddings", "user_emb", "item_emb", "checkpoint"):
+        if getattr(args, name) and name not in reads:
+            raise DataError(f"evaluate --model {args.model} does not read {flag(name)}")
+    if not all(getattr(args, name) for name in reads):
+        raise DataError(f"evaluate --model {args.model} needs "
+                        + " and ".join(flag(name) for name in reads))
+
+
 def cmd_evaluate(args) -> int:
+    _evaluate_inputs(args)
     split = load_split(args.dataset)
     k = args.k
     layers = args.layers
@@ -306,21 +322,14 @@ def cmd_evaluate(args) -> int:
         report = baseline_random(split, k=k, seed=args.seed or 0, part=args.part)
     elif args.model == "pop":
         report = baseline_pop(split, k=k, part=args.part)
-    elif args.model == "textgcn" and args.user_emb and args.item_emb:
+    elif args.user_emb:
         user_out = _load_rows(args.user_emb, split.maps.user_ids)
         item_out = _load_rows(args.item_emb, split.maps.item_ids)
         report = evaluate(split, user_out, item_out, k=k, part=args.part, model="textgcn")
     else:
-        mlp = args.model == "mlp"
-        if mlp and not (args.checkpoint and args.embeddings):
-            raise DataError("evaluate --model mlp needs --checkpoint and --embeddings")
-        if not args.embeddings:
-            raise DataError("evaluate --model textgcn needs --embeddings or "
-                            "--user-emb/--item-emb")
-        user_out, item_out, layers = _model_tables(split, args,
-                                                   args.checkpoint if mlp else None)
+        user_out, item_out, layers = _model_tables(split, args)
         report = evaluate(split, user_out, item_out, k=k, part=args.part,
-                          model="textgcn-mlp-zero-shot" if mlp else "textgcn")
+                          model="textgcn-mlp-zero-shot" if args.checkpoint else "textgcn")
     line = report.to_json()
     print(line)
     if args.out:
@@ -330,29 +339,29 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _quantiles(text: str) -> list[float]:
+    try:
+        quantiles = [float(q) for q in text.split(",")]
+    except ValueError:
+        raise DataError(f"--quantiles must be comma-separated numbers, got {text!r}") from None
+    if not all(0.0 <= q <= 1.0 for q in quantiles):
+        raise DataError(f"--quantiles must lie in [0, 1], got {text!r}")
+    return quantiles
+
+
 def cmd_tune(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg = _train_config(args, file_cfg)
     # sweep defaults come from the resolved run config, so flags like
     # --out-dim set the baseline for parameters not currently being swept
-    space_values = dict(search.BROAD_VALUES)
-    defaults = {"lr": cfg.lr, "d_out": cfg.d_out,
-                "neg_samples": cfg.neg_samples, "n_layers": cfg.n_layers}
+    values = search.BROAD_VALUES
+    defaults = {name: getattr(cfg, name) for name in values}
     if args.space:
-        space_spec = json.loads(Path(args.space).read_text(encoding="utf-8"))
-        if not isinstance(space_spec, dict):
-            raise DataError(f"{args.space}: space file must hold a JSON object")
-        space_values = space_spec.get("values", space_values)
-        defaults = space_spec.get("defaults", defaults)
-        if not (isinstance(space_values, dict)
-                and all(isinstance(v, list) for v in space_values.values())):
-            raise DataError(f'{args.space}: "values" must map parameter names to lists')
-        if not isinstance(defaults, dict):
-            raise DataError(f'{args.space}: "defaults" must map parameter names to values')
-        unknown = sorted((set(space_values) | set(defaults))
-                         - {f.name for f in fields(TrainConfig)})
-        if unknown:
-            raise DataError(f"{args.space}: unknown parameter(s) {', '.join(unknown)}")
+        values, defaults = search.load_space(args.space, values, defaults)
+    elif args.stage == "grid":
+        raise DataError("tune --stage grid needs --space with the narrow grid")
+    quantiles = (search.POS_QUANTILES if args.quantiles is None
+                 else _quantiles(args.quantiles))
     corpus, item_emb = _load_corpus(args.dataset, args.embeddings)
     store = search.TrialStore(args.records)
 
@@ -361,29 +370,21 @@ def cmd_tune(args) -> int:
         return log.best_val_recall
 
     if args.stage == "broad":
-        best, records = search.greedy_stage(
-            search.SearchSpace(values=space_values, defaults=defaults), runner, store)
-        print(json.dumps({"best_per_parameter": best}, sort_keys=True))
+        best = {"best_per_parameter": search.greedy_stage(values, defaults, runner, store)}
     elif args.stage == "grid":
-        if not args.space:
-            raise DataError("tune --stage grid needs --space with the narrow grid")
-        best, records = search.grid_stage(space_values, defaults, runner, store)
-        print(json.dumps({"best_config": best}, sort_keys=True))
-    elif args.stage == "pos":
-        quantiles = [float(q) for q in (args.quantiles or "0.25,0.5,0.75").split(",")]
-        best, records = search.pos_quantile_sweep(defaults, runner,
-                                                  quantiles=quantiles, store=store)
-        print(json.dumps({"best_config": best}, sort_keys=True))
+        best = {"best_config": search.grid_stage(values, defaults, runner, store)}
     else:
-        raise DataError(f"unknown tune stage {args.stage!r}")
+        best = {"best_config": search.pos_quantile_sweep(quantiles, defaults, runner, store)}
+    print(json.dumps(best, sort_keys=True))
     out_tsv = Path(args.out) if args.out else Path(args.records) / "summary.tsv"
+    out_tsv.parent.mkdir(parents=True, exist_ok=True)
     out_tsv.write_text(search.summary_tsv(store.records()), encoding="utf-8")
     return 0
 
 
 def cmd_recommend(args) -> int:
     split = load_split(args.dataset)
-    user_out, item_out, layers = _model_tables(split, args, args.checkpoint)
+    user_out, item_out, layers = _model_tables(split, args)
     item_unit = unit_rows(item_out)
     lines = []
     for ext in args.users.split(","):

@@ -188,7 +188,7 @@ class MergedCorpus:
         return self.item_offsets[p], self.item_offsets[p + 1]
 
 
-def _read_pairs(path: Path, maps: IdMaps, allow_empty: bool) -> tuple[np.ndarray, np.ndarray]:
+def _read_pairs(path: Path, maps: IdMaps) -> tuple[np.ndarray, np.ndarray]:
     """One interactions file as (user, item) dense-index arrays, one entry per item token.
 
     Unseen external IDs are appended to ``maps`` in first-occurrence order;
@@ -207,30 +207,9 @@ def _read_pairs(path: Path, maps: IdMaps, allow_empty: bool) -> tuple[np.ndarray
             line_users.append(user_index(tokens[0]))
             lengths.append(len(tokens) - 1)
             items.extend(map(item_index, tokens[1:]))
-    if not line_users and not allow_empty:
-        raise DataError(f"{path}: empty corpus")
     users = np.repeat(np.asarray(line_users, dtype=np.int64),
                       np.asarray(lengths, dtype=np.int64))
     return users, np.asarray(items, dtype=np.int64)
-
-
-def parse_interactions(
-    path: str | Path,
-    maps: IdMaps | None = None,
-    allow_empty: bool = False,
-) -> tuple[InteractionMatrix, IdMaps, int]:
-    """Parse an adjacency-list interactions file.
-
-    Unseen external IDs are appended to ``maps`` in first-occurrence order.
-    Duplicate (user, item) pairs within the file are dropped; the count of
-    dropped duplicates is returned. A bare user line registers the user
-    with zero interactions.
-    """
-    maps = maps if maps is not None else IdMaps()
-    users, items = _read_pairs(Path(path), maps, allow_empty)
-    keys = np.unique(users * maps.n_items + items)
-    matrix = InteractionMatrix._from_keys(maps.n_users, maps.n_items, keys)
-    return matrix, maps, len(items) - len(keys)
 
 
 def write_interactions(matrix: InteractionMatrix, maps: IdMaps, path: str | Path) -> None:
@@ -273,7 +252,7 @@ def load_split(directory: str | Path, name: str | None = None) -> DatasetSplit:
         if not (directory / fname).exists():
             raise DataError(f"missing file: {directory / fname}")
     maps = IdMaps()
-    pairs = [_read_pairs(directory / fname, maps, allow_empty=True)
+    pairs = [_read_pairs(directory / fname, maps)
              for fname in (TRAIN_FILE, VAL_FILE, TEST_FILE)]
     n_pairs = sum(len(items) for _, items in pairs)
     if n_pairs == 0:

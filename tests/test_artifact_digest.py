@@ -18,6 +18,7 @@ def test_artifact_digest_repeats(tmp_path):
     paths = [line.split("  ", 1)[1] for line in runs[0].stdout.splitlines()]
     assert paths[-1] == "<stdout>"
     for artifact in ("ckpt/manifest.json", "eval/mlp/report.json",
-                     "eval/textgcn-files/manifest.json", "recs/mlp/recs.tsv"):
+                     "eval/textgcn-files/manifest.json", "recs/mlp/recs.tsv",
+                     "trials/summary.tsv"):
         assert artifact in paths
     assert list(tmp_path.iterdir()) == []     # the work directory is removed

@@ -375,7 +375,9 @@ def test_tune_pos_stage(dataset_dir, mock_embeddings, tmp_path, capsys):
     ({"values": ["neg_samples"]}, '"values" must map parameter names to lists'),
     ({"values": {"neg_samples": 4}}, '"values" must map parameter names to lists'),
     ({"defaults": ["neg_samples"]}, '"defaults" must map parameter names to values'),
-], ids=["values", "defaults", "values-list", "values-scalar", "defaults-list"])
+    ({"values": {"neg_samples": [4, 32], "d_out": []}},
+     "empty value list for parameter 'd_out'"),
+], ids=["values", "defaults", "values-list", "values-scalar", "defaults-list", "values-empty"])
 def test_tune_unknown_parameter_exit2(space, message, dataset_dir, mock_embeddings,
                                       tmp_path, capsys):
     space_file = tmp_path / "space.json"
@@ -388,6 +390,68 @@ def test_tune_unknown_parameter_exit2(space, message, dataset_dir, mock_embeddin
     assert code == 2
     assert message in capsys.readouterr().err
     assert not records.exists()   # rejected before the store opens or any trial runs
+
+
+def test_tune_grid_empty_value_list_exit2(dataset_dir, mock_embeddings, tmp_path, capsys):
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps({"values": {"n_layers": [1, 2], "d_out": []}}))
+    records = tmp_path / "records"
+    assert main(["tune", "--dataset", str(dataset_dir), "--embeddings", str(mock_embeddings),
+                 "--stage", "grid", "--space", str(space_file), "--records", str(records),
+                 "--max-epochs", "1", "--out-dim", "8", "--batch", "16"]) == 2
+    assert "empty value list for parameter 'd_out'" in capsys.readouterr().err
+    assert not records.exists()
+
+
+@pytest.mark.parametrize("quantiles, message", [
+    ("0.5,abc", "--quantiles must be comma-separated numbers"),
+    ("1.5,-1", "--quantiles must lie in [0, 1]"),
+    ("0.5,nan", "--quantiles must lie in [0, 1]"),
+], ids=["not-a-number", "out-of-range", "nan"])
+def test_tune_bad_quantiles_exit2_before_loading(quantiles, message, tmp_path, capsys):
+    # the dataset does not exist: the quantile check has to come first
+    records = tmp_path / "records"
+    assert main(["tune", "--dataset", str(tmp_path / "absent"), "--embeddings",
+                 str(tmp_path / "absent.tge"), "--stage", "pos", "--records", str(records),
+                 "--quantiles", quantiles]) == 2
+    assert message in capsys.readouterr().err
+    assert not records.exists()
+
+
+def test_tune_out_into_missing_directory(dataset_dir, mock_embeddings, tmp_path, capsys):
+    out = tmp_path / "missing" / "dir" / "summary.tsv"
+    assert main(["tune", "--dataset", str(dataset_dir), "--embeddings", str(mock_embeddings),
+                 "--stage", "pos", "--records", str(tmp_path / "records"),
+                 "--quantiles", "0.5", "--out", str(out), "--max-epochs", "1",
+                 "--out-dim", "8", "--neg", "16", "--batch", "16"]) == 0
+    assert out.read_text().startswith("d_out\tlr\tn_layers\tneg_samples\tpos_k")
+    assert len(out.read_text().splitlines()) == 3    # header, quantile 0.5, k=1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--model", "textgcn", "--embeddings", "e.tge", "--checkpoint", "ck"],
+     "--model textgcn does not read --checkpoint"),
+    (["--model", "pop", "--embeddings", "e.tge", "--checkpoint", "ck"],
+     "--model pop does not read --embeddings"),
+    (["--model", "random", "--checkpoint", "ck"], "--model random does not read --checkpoint"),
+    (["--model", "textgcn", "--embeddings", "e.tge", "--user-emb", "u.tge",
+      "--item-emb", "i.tge"], "--model textgcn does not read --embeddings"),
+    (["--model", "mlp", "--embeddings", "e.tge", "--checkpoint", "ck", "--item-emb", "i.tge"],
+     "--model mlp does not read --item-emb"),
+    (["--model", "textgcn", "--user-emb", "u.tge"],
+     "--model textgcn needs --user-emb and --item-emb"),
+    (["--model", "mlp", "--embeddings", "e.tge"],
+     "--model mlp needs --checkpoint and --embeddings"),
+], ids=["textgcn-checkpoint", "pop-files", "random-checkpoint", "textgcn-both-tables",
+        "mlp-item-emb", "textgcn-one-table", "mlp-no-checkpoint"])
+def test_evaluate_file_flags_the_model_does_not_read_exit2(argv, message, tmp_path, capsys):
+    # nothing exists: the flag check has to come before anything loads
+    out = tmp_path / "eval" / "report.json"
+    argv = [str(tmp_path / a) if a.endswith(".tge") or a == "ck" else a for a in argv]
+    assert main(["evaluate", "--dataset", str(tmp_path / "absent"), *argv,
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_ablation_flag_emits_table(dataset_dir, mock_embeddings, tmp_path):

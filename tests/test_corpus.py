@@ -8,74 +8,76 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textgcn.corpus import (IdMaps, InteractionMatrix, interaction_quantile, load_split,
-                            merge_corpora, parse_interactions, read_titles, save_split,
-                            split_random, write_interactions)
+                            merge_corpora, read_titles, save_split, split_random)
 from textgcn.errors import DataError
 
 from conftest import make_split, write_dataset
 
 
 def test_parse_basic(tmp_path):
-    path = tmp_path / "train.txt"
-    path.write_text("u1 i1 i2\nu2 i2\n", encoding="utf-8")
-    matrix, maps, dups = parse_interactions(path)
-    assert (matrix.n_users, matrix.n_items) == (2, 2)
-    assert matrix.n_interactions == 3
-    assert matrix.user_degrees.tolist() == [2, 1]
-    assert matrix.item_degrees.tolist() == [1, 2]
-    assert dups == 0
-    assert maps.user_ids == ["u1", "u2"]
-    assert maps.item_ids == ["i1", "i2"]
+    d = write_dataset(tmp_path / "ds", train=["u1 i1 i2", "u2 i2"], val=[], test=[],
+                      titles={"i1": "a", "i2": "b"})
+    split = load_split(d)
+    assert (split.train.n_users, split.train.n_items) == (2, 2)
+    assert split.train.n_interactions == 3
+    assert split.train.user_degrees.tolist() == [2, 1]
+    assert split.train.item_degrees.tolist() == [1, 2]
+    assert split.duplicates == 0
+    assert split.maps.user_ids == ["u1", "u2"]
+    assert split.maps.item_ids == ["i1", "i2"]
 
 
 def test_parse_empty_file_errors(tmp_path):
-    path = tmp_path / "train.txt"
-    path.write_text("", encoding="utf-8")
+    # bare user lines and comments register no pairs
+    d = write_dataset(tmp_path / "ds", train=["# header", "u1"], val=[], test=["u2"],
+                      titles={"i1": "a"})
     with pytest.raises(DataError, match="empty corpus"):
-        parse_interactions(path)
+        load_split(d)
 
 
 def test_parse_duplicate_pair_counted(tmp_path):
-    path = tmp_path / "train.txt"
-    path.write_text("u1 i1 i1\n", encoding="utf-8")
-    matrix, _, dups = parse_interactions(path)
-    assert matrix.n_interactions == 1
-    assert dups == 1
+    # repeats count per file; the same pair in two files is an overlap instead
+    d = write_dataset(tmp_path / "ds", train=["u1 i1 i1", "u1 i2 i1"], val=["u1 i3 i3"],
+                      test=["u1 i4"], titles={f"i{k}": "t" for k in range(1, 5)})
+    split = load_split(d)
+    assert split.train.n_interactions == 2
+    assert split.val.n_interactions == 1
+    assert split.duplicates == 3
 
 
 def test_parse_comments_and_malformed(tmp_path):
-    path = tmp_path / "train.txt"
-    path.write_text("# header\nu1 i1\n", encoding="utf-8")
-    matrix, _, _ = parse_interactions(path)
-    assert matrix.n_interactions == 1
+    d = write_dataset(tmp_path / "ds", train=["# header", "u1 i1"], val=[], test=[],
+                      titles={"i1": "a"})
+    assert load_split(d).train.n_interactions == 1
 
-    bad = tmp_path / "bad.txt"
-    bad.write_text("u1  i1\n", encoding="utf-8")  # double space -> empty token
-    with pytest.raises(DataError, match="bad.txt:1"):
-        parse_interactions(bad)
+    (d / "val.txt").write_text("u1  i1\n", encoding="utf-8")  # double space -> empty token
+    with pytest.raises(DataError, match="val.txt:1"):
+        load_split(d)
 
 
-def test_parse_roundtrip(tmp_path, rng):
-    lines = ["u0 i3 i1", "u1 i2", "u2 i0 i1 i2 i3", "u3"]
-    src = tmp_path / "a.txt"
-    src.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
-    m1, maps, _ = parse_interactions(src)
-    out = tmp_path / "b.txt"
-    write_interactions(m1, maps, out)
-    m2, maps2, _ = parse_interactions(out)
-    assert m1 == m2
-    assert maps.user_ids == maps2.user_ids
-    assert maps.item_ids == maps2.item_ids
+def test_parse_roundtrip(tmp_path):
+    # a bare user line keeps its user, with no interactions, in first-occurrence order
+    d = write_dataset(tmp_path / "a", train=["u0 i3 i1", "u3", "u1 i2", "u2 i0 i1 i2 i3"],
+                      val=[], test=[], titles={f"i{k}": f"t{k}" for k in (3, 1, 2, 0)})
+    first = load_split(d)
+    assert first.maps.user_ids == ["u0", "u3", "u1", "u2"]
+    assert first.maps.item_ids == ["i3", "i1", "i2", "i0"]
+    assert first.train.user_degrees.tolist() == [2, 0, 1, 4]
+    save_split(first, tmp_path / "b")
+    again = load_split(tmp_path / "b")
+    assert again.train == first.train
+    assert again.maps.user_ids == first.maps.user_ids
+    assert again.maps.item_ids == first.maps.item_ids
 
 
 def test_parse_permutation_with_fixed_maps(tmp_path):
-    a = tmp_path / "a.txt"
-    a.write_text("u1 i1 i2\nu2 i3\n", encoding="utf-8")
-    m1, maps, _ = parse_interactions(a)
-    b = tmp_path / "b.txt"
-    b.write_text("u2 i3\nu1 i2 i1\n", encoding="utf-8")
-    m2, _, _ = parse_interactions(b, maps=maps)
-    assert m1 == m2
+    # once train has fixed the IDs, line and item order in a later file do not matter
+    titles = {f"i{k}": "t" for k in range(1, 6)}
+    a = load_split(write_dataset(tmp_path / "a", train=["u1 i1 i2", "u2 i3 i4 i5"],
+                                 val=["u1 i3 i4", "u2 i1"], test=[], titles=titles))
+    b = load_split(write_dataset(tmp_path / "b", train=["u1 i1 i2", "u2 i3 i4 i5"],
+                                 val=["u2 i1", "u1 i4 i3"], test=[], titles=titles))
+    assert a.val == b.val
 
 
 def test_load_split_happy(tmp_path):
@@ -170,7 +172,7 @@ def test_constructor_accepts_descent_across_rows():
 
 
 def _reference_parse(path, maps):
-    """The per-user-set parser ``parse_interactions`` replaced, kept as an oracle."""
+    """A per-user-set parser of one interactions file, kept as an oracle."""
     per_user, duplicates = {}, 0
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -230,21 +232,6 @@ def _loaded(directory):
             split.dropped_val, split.dropped_test, split.duplicates)
 
 
-def _parsed(path):
-    matrix, maps, dups = parse_interactions(path)
-    return (maps.user_ids, maps.item_ids, dups,
-            (matrix.indptr.tolist(), matrix.indices.tolist()))
-
-
-def _reference_parsed(path):
-    maps = IdMaps()
-    per_user, dups = _reference_parse(path, maps)
-    if not per_user:
-        raise DataError(f"{path}: empty corpus")
-    rows = [sorted(per_user.get(u, ())) for u in range(maps.n_users)]
-    return maps.user_ids, maps.item_ids, dups, _csr(rows)
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -286,8 +273,6 @@ def test_load_split_matches_per_user_set_reference(spec):
         write_dataset(d, files["train"], files["val"], files["test"], {})
         (d / "titles.tsv").write_text("".join(t + "\n" for t in titles), encoding="utf-8")
         assert _outcome(_loaded, d) == _outcome(_reference_load_split, d)
-        for fname in ("train.txt", "val.txt", "test.txt"):
-            assert _outcome(_parsed, d / fname) == _outcome(_reference_parsed, d / fname)
 
 
 def test_quantile_examples():

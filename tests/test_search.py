@@ -1,9 +1,14 @@
+import json
+
 import pytest
 
 from textgcn.errors import DataError
-from textgcn.search import (BROAD_VALUES, DEFAULTS, SearchSpace, TrialRecord, TrialStore,
-                            config_hash, greedy_stage, grid_stage, pos_quantile_sweep,
-                            summary_tsv)
+from textgcn.search import (BROAD_VALUES, POS_QUANTILES, TrialRecord, TrialStore,
+                            config_hash, greedy_stage, grid_stage, load_space,
+                            pos_quantile_sweep, run_trials, summary_tsv)
+from textgcn.training import TrainConfig
+
+DEFAULTS = {name: getattr(TrainConfig(), name) for name in BROAD_VALUES}
 
 
 class CountingRunner:
@@ -19,110 +24,153 @@ class CountingRunner:
         return self.score_fn(config)
 
 
-def test_greedy_dedup_counts_shared_default():
-    space = SearchSpace()   # broad lists: 7 + 7 + 6 + 7 with defaults inside each
-    sizes = [len(v) for v in space.values.values()]
+@pytest.fixture
+def store(tmp_path):
+    return TrialStore(tmp_path / "records")
+
+
+def test_greedy_dedup_counts_shared_default(store):
+    # broad lists: 7 + 7 + 6 + 7 with defaults inside each
+    sizes = [len(v) for v in BROAD_VALUES.values()]
     assert sorted(sizes) == [6, 7, 7, 7]
     runner = CountingRunner()
-    best, records = greedy_stage(space, runner)
+    best = greedy_stage(BROAD_VALUES, DEFAULTS, runner, store)
     # all-defaults config runs once, not once per parameter
     assert len(runner.calls) == sum(sizes) - 3
-    assert len(records) == sum(sizes) - 3
-    assert set(best) == set(space.values)
+    assert len(store.records()) == sum(sizes) - 3
+    assert set(best) == set(BROAD_VALUES)
 
 
-def test_greedy_single_value_lists():
-    space = SearchSpace(values={"lr": [5e-4], "d_out": [64]},
-                        defaults=dict(DEFAULTS))
+def test_greedy_single_value_lists(store):
     runner = CountingRunner()
-    best, records = greedy_stage(space, runner)
+    best = greedy_stage({"lr": [5e-4], "d_out": [64]}, DEFAULTS, runner, store)
     assert len(runner.calls) == 1
     assert best == {"lr": 5e-4, "d_out": 64}
 
 
-def test_greedy_varies_one_parameter_at_a_time():
+def test_greedy_varies_one_parameter_at_a_time(store):
     runner = CountingRunner()
-    greedy_stage(SearchSpace(), runner)
+    greedy_stage(BROAD_VALUES, DEFAULTS, runner, store)
     for config in runner.calls:
         diffs = [k for k, v in DEFAULTS.items() if config[k] != v]
         assert len(diffs) <= 1
 
 
-def test_greedy_picks_argmax_per_parameter():
+def test_greedy_picks_argmax_per_parameter(store):
     score = lambda cfg: {1: 0.1, 2: 0.3, 3: 0.9, 4: 0.2}.get(cfg["n_layers"], 0.0)
-    space = SearchSpace(values={"n_layers": [1, 2, 3, 4]}, defaults=dict(DEFAULTS))
-    best, _ = greedy_stage(space, CountingRunner(score_fn=score))
+    best = greedy_stage({"n_layers": [1, 2, 3, 4]}, DEFAULTS,
+                        CountingRunner(score_fn=score), store)
     assert best["n_layers"] == 3
 
 
-def test_greedy_survives_trial_failures():
-    space = SearchSpace(values={"n_layers": [1, 2, 3]}, defaults=dict(DEFAULTS))
+def test_greedy_tie_keeps_earliest_entry(store):
+    best = greedy_stage({"n_layers": [3, 1, 2]}, DEFAULTS, CountingRunner(), store)
+    assert best["n_layers"] == 3
+
+
+def test_greedy_survives_trial_failures(store):
     runner = CountingRunner(score_fn=lambda c: c["n_layers"] * 0.1,
                             fail_on=lambda c: c["n_layers"] == 3)
-    best, records = greedy_stage(space, runner)
+    best = greedy_stage({"n_layers": [1, 2, 3]}, DEFAULTS, runner, store)
     assert best["n_layers"] == 2
-    failed = [r for r in records if not r.ok]
+    failed = [r for r in store.records() if not r.ok]
     assert len(failed) == 1 and "boom" in failed[0].error
 
 
+@pytest.mark.parametrize("stage", [
+    lambda runner, store: greedy_stage({"lr": [5e-4, 1e-3], "n_layers": [1, 3]}, DEFAULTS,
+                                       runner, store),
+    lambda runner, store: grid_stage({"n_layers": [1, 3]}, DEFAULTS, runner, store),
+    lambda runner, store: pos_quantile_sweep([0.5], DEFAULTS, runner, store),
+], ids=["greedy", "grid", "pos"])
+def test_every_trial_failed_raises(stage, store):
+    # greedy: lr's sweep survives on the shared default, n_layers' sweep does not
+    runner = CountingRunner(fail_on=lambda c: c["n_layers"] != 2 or "pos_k" in c)
+    with pytest.raises(DataError, match="every trial failed"):
+        stage(runner, store)
+    # the failures are on disk, so a rerun does not repeat them
+    assert any(not r.ok for r in TrialStore(store.directory).records())
+
+
+def test_run_trials_runs_each_distinct_config_once(store):
+    runner = CountingRunner(score_fn=lambda c: c["lr"])
+    records = run_trials([{"lr": 0.1}, {"lr": 0.2}, {"lr": 0.1}], runner, store)
+    assert [r.val_recall for r in records] == [0.1, 0.2, 0.1]
+    assert runner.calls == [{"lr": 0.1}, {"lr": 0.2}]
+
+
 def test_resumability_zero_recomputation(tmp_path):
-    space = SearchSpace(values={"n_layers": [1, 2]}, defaults=dict(DEFAULTS))
-    store = TrialStore(tmp_path / "records")
+    values = {"n_layers": [1, 2]}
     first = CountingRunner()
-    greedy_stage(space, first, store)
+    greedy_stage(values, DEFAULTS, first, TrialStore(tmp_path / "records"))
     assert len(first.calls) == 2
 
     # a fresh store over the same directory must not re-run anything
-    resumed_store = TrialStore(tmp_path / "records")
     poisoned = CountingRunner(score_fn=lambda c: 1 / 0)
-    best, _ = greedy_stage(space, poisoned, resumed_store)
+    best = greedy_stage(values, DEFAULTS, poisoned, TrialStore(tmp_path / "records"))
     assert poisoned.calls == []
     assert best["n_layers"] in (1, 2)
 
 
-def test_grid_product_count_and_argmax():
+def test_records_with_timing_resume_without_recomputation(tmp_path):
+    # records written before timing was dropped carry a wall_time field
+    records = tmp_path / "records"
+    records.mkdir()
+    scores = {1: 0.2, 2: 0.4}
+    for n_layers, recall in scores.items():
+        config = dict(DEFAULTS, n_layers=n_layers)
+        (records / f"{config_hash(config)}.json").write_text(json.dumps(
+            {"config": config, "error": "", "val_recall": recall, "wall_time": 1.25},
+            sort_keys=True) + "\n")
+    poisoned = CountingRunner(score_fn=lambda c: 1 / 0)
+    best = greedy_stage({"n_layers": [1, 2]}, DEFAULTS, poisoned, TrialStore(records))
+    assert poisoned.calls == []
+    assert best == {"n_layers": 2}
+
+
+def test_grid_product_count_and_argmax(store):
     runner = CountingRunner(score_fn=lambda c: c["n_layers"] * 0.1 + c["d_out"] * 0.001)
     values = {"n_layers": [2, 3], "d_out": [128, 256], "neg_samples": [512]}
-    best, records = grid_stage(values, dict(DEFAULTS), runner)
+    best = grid_stage(values, DEFAULTS, runner, store)
     assert len(runner.calls) == 4
     assert best["n_layers"] == 3 and best["d_out"] == 256
     # argmax must equal a brute-force scan over the records
-    brute = max((r for r in records if r.ok), key=lambda r: r.val_recall).config
+    brute = max((r for r in store.records() if r.ok), key=lambda r: r.val_recall).config
     assert best == brute
 
 
-def test_grid_single_config():
-    runner = CountingRunner()
-    best, records = grid_stage({"n_layers": [4]}, dict(DEFAULTS), runner)
-    assert len(records) == 1
+def test_grid_single_config(store):
+    best = grid_stage({"n_layers": [4]}, DEFAULTS, CountingRunner(), store)
+    assert len(store.records()) == 1
     assert best["n_layers"] == 4
 
 
-def test_grid_tie_break_prefers_smaller_model():
+def test_grid_tie_break_prefers_smaller_model(store):
     runner = CountingRunner(score_fn=lambda c: 0.5)   # everything ties
     values = {"n_layers": [3, 2], "d_out": [256, 128]}
-    best, _ = grid_stage(values, dict(DEFAULTS), runner)
+    best = grid_stage(values, DEFAULTS, runner, store)
     assert (best["d_out"], best["n_layers"]) == (128, 2)
 
 
-def test_pos_quantile_sweep_trials():
+def test_pos_quantile_sweep_trials(store):
     runner = CountingRunner(score_fn=lambda c: c.get("pos_quantile") or 0.0)
-    best, records = pos_quantile_sweep(dict(DEFAULTS), runner, quantiles=[0.5])
+    best = pos_quantile_sweep([0.5], DEFAULTS, runner, store)
+    records = store.records()
     assert len(records) == 2      # the quantile plus fixed k=1
     assert best["pos_quantile"] == 0.5
     ks = [r.config.get("pos_k") for r in records]
     assert 1 in ks
 
 
-def test_pos_quantile_default_list():
+def test_pos_quantile_default_list(store):
     runner = CountingRunner(score_fn=lambda c: 0.1)
-    _, records = pos_quantile_sweep(dict(DEFAULTS), runner)
-    assert len(records) == 4      # {0.25, 0.5, 0.75} + k=1
+    best = pos_quantile_sweep(POS_QUANTILES, DEFAULTS, runner, store)
+    assert len(store.records()) == 4      # {0.25, 0.5, 0.75} + k=1
+    assert best["pos_quantile"] == 0.25   # the first maximum wins
 
 
 def test_trial_record_roundtrip_and_hash_stability():
-    record = TrialRecord(config={"lr": 5e-4, "n_layers": 2}, val_recall=0.25,
-                         wall_time=1.5)
+    record = TrialRecord(config={"lr": 5e-4, "n_layers": 2}, val_recall=0.25)
     again = TrialRecord.from_json(record.to_json())
     assert again == record
     assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
@@ -131,7 +179,7 @@ def test_trial_record_roundtrip_and_hash_stability():
 
 def test_store_atomic_persistence(tmp_path):
     store = TrialStore(tmp_path / "rec")
-    record = TrialRecord(config={"lr": 1e-3}, val_recall=0.4, wall_time=0.1)
+    record = TrialRecord(config={"lr": 1e-3}, val_recall=0.4)
     store.put(config_hash(record.config), record)
     files = list((tmp_path / "rec").glob("*.json"))
     assert len(files) == 1
@@ -144,7 +192,7 @@ def test_store_put_uses_a_private_temp_name(tmp_path):
     # a fixed temp name is shared by every process writing the same key; a
     # directory there stands in for another writer holding that name
     store = TrialStore(tmp_path / "rec")
-    record = TrialRecord(config={"lr": 1e-3}, val_recall=0.4, wall_time=0.1)
+    record = TrialRecord(config={"lr": 1e-3}, val_recall=0.4)
     key = config_hash(record.config)
     (tmp_path / "rec" / f".{key}.tmp").mkdir()
     store.put(key, record)
@@ -154,9 +202,9 @@ def test_store_put_uses_a_private_temp_name(tmp_path):
 
 
 def test_summary_tsv_sorted():
-    records = [TrialRecord({"lr": 1e-3}, 0.2, 0.1),
-               TrialRecord({"lr": 5e-4}, 0.9, 0.1),
-               TrialRecord({"lr": 1e-4}, -float("inf"), 0.1, error="boom")]
+    records = [TrialRecord({"lr": 1e-3}, 0.2),
+               TrialRecord({"lr": 5e-4}, 0.9),
+               TrialRecord({"lr": 1e-4}, -float("inf"), error="boom")]
     table = summary_tsv(records)
     lines = table.strip().split("\n")
     assert lines[0] == "lr\tval_recall\terror"
@@ -165,19 +213,30 @@ def test_summary_tsv_sorted():
 
 
 def test_shipped_broad_space_values():
-    # the shipped broad lists and defaults used throughout the search module
+    # the shipped broad lists, each holding TrainConfig's default for its parameter
     assert BROAD_VALUES["d_out"] == [16, 32, 64, 128, 256, 512, 1024]
     assert BROAD_VALUES["lr"] == [1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2]
     assert BROAD_VALUES["n_layers"] == [1, 2, 3, 4, 5, 8]
     assert BROAD_VALUES["neg_samples"] == [16, 32, 64, 128, 256, 512, 1024]
+    assert POS_QUANTILES == [0.25, 0.5, 0.75]
     assert DEFAULTS == {"lr": 5e-4, "d_out": 64, "neg_samples": 256, "n_layers": 2}
     for name, default in DEFAULTS.items():
         assert default in BROAD_VALUES[name]
 
 
-def test_empty_value_list_rejected():
-    with pytest.raises(DataError, match="empty value list"):
-        SearchSpace(values={"lr": []}, defaults={})
+def test_empty_value_list_rejected(tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"values": {"lr": [], "d_out": [8]}}))
+    with pytest.raises(DataError, match="empty value list for parameter 'lr'"):
+        load_space(space, BROAD_VALUES, DEFAULTS)
+
+
+def test_load_space_falls_back_per_key(tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"values": {"d_out": [8, 16]}}))
+    assert load_space(space, BROAD_VALUES, DEFAULTS) == ({"d_out": [8, 16]}, DEFAULTS)
+    space.write_text(json.dumps({"defaults": {"d_out": 8}}))
+    assert load_space(space, BROAD_VALUES, DEFAULTS) == (BROAD_VALUES, {"d_out": 8})
 
 
 def test_pos_quantile_end_to_end_direction(tmp_path):
@@ -203,9 +262,10 @@ def test_pos_quantile_end_to_end_direction(tmp_path):
         _, log, _ = train(split, emb, replace(base, **overrides))
         return log.best_val_recall
 
-    best, records = pos_quantile_sweep({}, runner, quantiles=[0.5])
+    store = TrialStore(tmp_path / "records")
+    best = pos_quantile_sweep([0.5], {}, runner, store)
     by_policy = {}
-    for rec in records:
+    for rec in store.records():
         key = "k=1" if rec.config.get("pos_k") == 1 else "median"
         by_policy[key] = rec.val_recall
     assert by_policy["median"] >= by_policy["k=1"] - 0.005

@@ -6,9 +6,12 @@ Imports textgcn from SRC (default: this checkout's ``src/``) and runs, in a
 fresh temporary directory and with relative paths only: ``ingest
 --synthetic``, ``embed --mock``, ``diffuse``, a short ``train``, ``evaluate``
 for every model tag (``textgcn`` both from raw embeddings and from the
-diffused files), and ``recommend`` with and without the checkpoint, each
-asking for one user twice. It prints one ``sha256  path`` line per file the
-commands wrote, then one for their concatenated stdout.
+diffused files), ``recommend`` with and without the checkpoint, each
+asking for one user twice, and ``tune --stage broad`` over a small space
+file the tool writes followed by ``tune --stage pos`` into the same records
+directory. It prints one ``sha256  path`` line per file the run left
+(the space file, every trial record and ``summary.tsv`` among them), then
+one for the concatenated stdout of the commands.
 
 Two source trees that print the same lines produce byte-identical outputs
 for these commands: run it on a parent and on a change and diff the two
@@ -28,6 +31,8 @@ from pathlib import Path
 
 SYNTH = "clusters:2,users:60,items:40,seed:3,min_degree:5,max_degree:8"
 USERS = "u0,u3,u0"
+SPACE = '{"values": {"d_out": [8, 16], "n_layers": [1, 2]}}\n'
+TRAIN = ["--seed", "1", "--max-epochs", "3", "--out-dim", "8", "--neg", "16", "--batch", "16"]
 COMMANDS = [
     ["ingest", "--synthetic", SYNTH, "--out", "data"],
     ["embed", "--dataset", "data", "--out", "emb/items.tge", "--mock", "--dim", "16",
@@ -36,8 +41,7 @@ COMMANDS = [
      "--out", "diffused"],
     # depth 1, so commands that default to the checkpoint's depth differ from depth 2
     ["train", "--dataset", "data", "--embeddings", "emb/items.tge", "--out", "ckpt",
-     "--layers", "1", "--seed", "1", "--max-epochs", "3", "--out-dim", "8", "--neg", "16",
-     "--batch", "16"],
+     "--layers", "1", *TRAIN],
     ["evaluate", "--dataset", "data", "--model", "random", "--seed", "4",
      "--out", "eval/random/report.json"],
     ["evaluate", "--dataset", "data", "--model", "pop", "--out", "eval/pop/report.json"],
@@ -52,6 +56,10 @@ COMMANDS = [
      "--k", "5", "--out", "recs/plain/recs.tsv"],
     ["recommend", "--dataset", "data", "--embeddings", "emb/items.tge", "--checkpoint", "ckpt",
      "--users", USERS, "--k", "5", "--out", "recs/mlp/recs.tsv"],
+    ["tune", "--dataset", "data", "--embeddings", "emb/items.tge", "--stage", "broad",
+     "--space", "space.json", "--records", "trials", *TRAIN],
+    ["tune", "--dataset", "data", "--embeddings", "emb/items.tge", "--stage", "pos",
+     "--quantiles", "0.25,0.5", "--records", "trials", *TRAIN],
 ]
 
 
@@ -62,8 +70,10 @@ def _sha256(data: bytes) -> str:
 def digest_lines(main) -> list[str]:
     """Run COMMANDS through ``main`` in the current directory; one line per artifact."""
     stdout = io.StringIO()
+    Path("space.json").write_text(SPACE, encoding="utf-8")
     for argv in COMMANDS:
-        Path(argv[argv.index("--out") + 1]).parent.mkdir(parents=True, exist_ok=True)
+        if "--out" in argv:
+            Path(argv[argv.index("--out") + 1]).parent.mkdir(parents=True, exist_ok=True)
         stdout.write("$ textgcn " + " ".join(argv) + "\n")
         with contextlib.redirect_stdout(stdout):
             code = main(argv)
