@@ -27,7 +27,7 @@ from .corpus import MergedCorpus, interaction_quantile, load_split, merge_corpor
 from .diffusion import diffuse
 from .errors import DataError
 from .ranking import baseline_pop, baseline_random, evaluate, recommend_unit, unit_rows
-from .tower import load_checkpoint, save_checkpoint
+from .tower import TOWER_PREFIXES, load_checkpoint, save_checkpoint
 from .training import TrainConfig, ablation_variants, head_recall, model_outputs, train
 
 
@@ -107,7 +107,7 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--patience", type=int, default=None)
     parser.add_argument("--max-epochs", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--tower", choices=("one", "two"), default=None, dest="tower_mode")
+    parser.add_argument("--tower", choices=tuple(TOWER_PREFIXES), default=None, dest="tower_mode")
     parser.add_argument("--eval-every", type=int, default=None)
 
 
@@ -299,7 +299,11 @@ def cmd_train(args) -> int:
 
 
 def _evaluate_inputs(args) -> None:
-    """Reject a file flag the chosen model does not read, and a missing one it needs."""
+    """Reject a flag the chosen model does not read, and a missing file flag it needs.
+
+    Only a model read from --embeddings is diffused, so only it reads
+    --layers; only ``random`` reads --seed.
+    """
     if args.model == "textgcn":
         reads = ("user_emb", "item_emb") if args.user_emb or args.item_emb else ("embeddings",)
     else:
@@ -311,6 +315,11 @@ def _evaluate_inputs(args) -> None:
     if not all(getattr(args, name) for name in reads):
         raise DataError(f"evaluate --model {args.model} needs "
                         + " and ".join(flag(name) for name in reads))
+    if args.layers is not None and "embeddings" not in reads:
+        raise DataError(f"evaluate --model {args.model} does not read --layers: "
+                        "nothing is diffused")
+    if args.seed is not None and args.model != "random":
+        raise DataError(f"evaluate --model {args.model} does not read --seed")
 
 
 def cmd_evaluate(args) -> int:
@@ -357,7 +366,9 @@ def cmd_tune(args) -> int:
     values = search.BROAD_VALUES
     defaults = {name: getattr(cfg, name) for name in values}
     if args.space:
-        values, defaults = search.load_space(args.space, values, defaults)
+        # the narrow grid has no shipped lists: its values come from the file alone
+        values, defaults = search.load_space(
+            args.space, None if args.stage == "grid" else values, defaults)
     elif args.stage == "grid":
         raise DataError("tune --stage grid needs --space with the narrow grid")
     quantiles = (search.POS_QUANTILES if args.quantiles is None

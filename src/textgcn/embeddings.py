@@ -16,7 +16,7 @@ import os
 import struct
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
 from typing import Callable
 
@@ -205,8 +205,10 @@ def fetch_embeddings(
 
     Only titles missing from the cache are sent (deduplicated, batched);
     the returned matrix always follows catalog order. Each batch's vectors
-    go into the cache as soon as that batch returns (in batch order when
-    ``concurrency > 1``), so a failed run keeps what it already paid for.
+    go into the cache as soon as that batch returns, so a failed run keeps
+    what it already paid for: with ``concurrency > 1`` a failure cancels
+    the batches not yet started, keeps those still running that return,
+    then raises the first failure.
     ``post`` is the transport and exists mainly so tests can inject a fake
     endpoint.
     """
@@ -239,18 +241,30 @@ def fetch_embeddings(
         return _embed_batch(post, endpoint, model, [t for _, t in batch],
                             max_attempts, backoff, sleep)
 
-    def store(results) -> None:
-        for batch, vecs in zip(batches, results):
-            for (key, _), vec in zip(batch, vecs):
-                vectors[key] = vec
-                if cache is not None:
-                    cache.put(key, vec)
+    def store(batch: list[tuple[str, str]], vecs: list[np.ndarray]) -> None:
+        for (key, _), vec in zip(batch, vecs):
+            vectors[key] = vec
+            if cache is not None:
+                cache.put(key, vec)
 
     if concurrency > 1 and len(batches) > 1:
+        failure: BaseException | None = None
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            store(pool.map(run, batches))
+            futures = {pool.submit(run, batch): batch for batch in batches}
+            for future in as_completed(futures):
+                if future.cancelled():
+                    continue
+                if future.exception() is None:
+                    store(futures[future], future.result())
+                elif failure is None:
+                    failure = future.exception()
+                    for pending in futures:
+                        pending.cancel()
+        if failure is not None:
+            raise failure
     else:
-        store(map(run, batches))
+        for batch in batches:
+            store(batch, run(batch))
 
     dims = {v.shape[0] for v in vectors.values()}
     if len(dims) > 1:

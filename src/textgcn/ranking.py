@@ -96,7 +96,8 @@ def recommend_topk(user_vec: np.ndarray, item_emb: np.ndarray,
     """Top-k non-excluded items by cosine similarity to the user vector.
 
     Zero-norm item rows score 0. Fewer than k candidates returns them all
-    with the truncated flag set.
+    with the truncated flag set. An ``exclude`` index outside
+    ``[0, n_items)`` raises ``DataError``.
     """
     return recommend_unit(user_vec, unit_rows(item_emb), exclude, k, user=user)
 
@@ -115,8 +116,12 @@ def recommend_unit(user_vec: np.ndarray, item_unit: np.ndarray,
     if norm == 0:
         raise DataError("zero user vector")
     scores = item_unit @ (user_vec / norm)
-    scores[np.asarray(list(exclude) if isinstance(exclude, set) else exclude,
-                      dtype=np.int64)] = -np.inf
+    excluded = np.asarray(list(exclude) if isinstance(exclude, set) else exclude,
+                          dtype=np.int64)
+    # a negative index would silently mask an item counted from the end
+    if excluded.size and (excluded.min() < 0 or excluded.max() >= len(scores)):
+        raise DataError(f"exclude holds an item index outside [0, {len(scores)})")
+    scores[excluded] = -np.inf
     top, valid = _topk_rows(scores[None, :], k)
     top = top[0, valid[0]]
     return Ranking(items=top, scores=scores[top], truncated=len(top) < k, user=user)

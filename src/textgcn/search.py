@@ -35,18 +35,20 @@ BROAD_VALUES: dict[str, list] = {
 POS_QUANTILES: list[float] = [0.25, 0.5, 0.75]
 
 
-def load_space(path: str | Path, values: dict[str, list],
+def load_space(path: str | Path, values: dict[str, list] | None,
                defaults: dict[str, object]) -> tuple[dict[str, list], dict[str, object]]:
     """The ``values`` and ``defaults`` of a space file, each falling back to the given one.
 
     The file holds a JSON object; ``values`` maps parameter names to
     non-empty lists and ``defaults`` maps them to values, every name a
-    ``TrainConfig`` field.
+    ``TrainConfig`` field. With ``values`` None the file must hold its own.
     """
     spec = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(spec, dict):
         raise DataError(f"{path}: space file must hold a JSON object")
     values = spec.get("values", values)
+    if values is None:
+        raise DataError(f'{path}: space file has no "values"')
     defaults = spec.get("defaults", defaults)
     if not (isinstance(values, dict) and all(isinstance(v, list) for v in values.values())):
         raise DataError(f'{path}: "values" must map parameter names to lists')

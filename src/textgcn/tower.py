@@ -12,10 +12,12 @@ guarded by finite-difference tests rather than an autograd framework.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -65,9 +67,6 @@ class MlpParams:
     def tensors(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in TENSOR_NAMES}
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
 
 def init_mlp(d_in: int, d_out: int, d_hidden: int | None = None,
              rng: np.random.Generator | None = None) -> MlpParams:
@@ -89,6 +88,11 @@ def init_mlp(d_in: int, d_out: int, d_hidden: int | None = None,
                      weight(d_out, d_hidden), bias(d_out, d_hidden))
 
 
+# mode -> (user-side, item-side) tensor-name prefix; a shared head names one MLP twice.
+# The prefixes key named_tensors, the Adam moments and the checkpoint files.
+TOWER_PREFIXES = {"one": ("shared", "shared"), "two": ("user", "item")}
+
+
 @dataclass
 class TwoTowerParams:
     """User and item MLPs; in "one" mode both fields are the same object."""
@@ -100,30 +104,50 @@ class TwoTowerParams:
     def mode(self) -> str:
         return "one" if self.user_mlp is self.item_mlp else "two"
 
+    @property
+    def sides(self) -> tuple[tuple[str, MlpParams], tuple[str, MlpParams]]:
+        """(prefix, MLP) of the user side, then of the item side."""
+        user_prefix, item_prefix = TOWER_PREFIXES[self.mode]
+        return (user_prefix, self.user_mlp), (item_prefix, self.item_mlp)
+
+    @classmethod
+    def build(cls, mode: str, make_mlp: Callable[[str], MlpParams]) -> "TwoTowerParams":
+        """A head of ``mode`` whose MLPs are ``make_mlp(prefix)``, once per distinct prefix."""
+        if mode not in TOWER_PREFIXES:
+            raise DataError(f"unknown tower mode {mode!r}")
+        mlps = {prefix: make_mlp(prefix) for prefix in dict.fromkeys(TOWER_PREFIXES[mode])}
+        return cls(*(mlps[prefix] for prefix in TOWER_PREFIXES[mode]))
+
     @classmethod
     def init(cls, d_in: int, d_out: int, d_hidden: int | None = None,
              mode: str = "two", seed: int = 0) -> "TwoTowerParams":
         rng = np.random.default_rng(seed)
-        if mode == "one":
-            shared = init_mlp(d_in, d_out, d_hidden, rng)
-            return cls(shared, shared)
-        if mode != "two":
-            raise DataError(f"unknown tower mode {mode!r}")
-        return cls(init_mlp(d_in, d_out, d_hidden, rng),
-                   init_mlp(d_in, d_out, d_hidden, rng))
+        return cls.build(mode, lambda _: init_mlp(d_in, d_out, d_hidden, rng))
 
     def named_tensors(self) -> dict[str, np.ndarray]:
-        if self.mode == "one":
-            return {f"shared.{k}": v for k, v in self.user_mlp.tensors().items()}
-        out = {f"user.{k}": v for k, v in self.user_mlp.tensors().items()}
-        out.update({f"item.{k}": v for k, v in self.item_mlp.tensors().items()})
-        return out
+        return {f"{prefix}.{name}": tensor for prefix, mlp in self.sides
+                for name, tensor in mlp.tensors().items()}
 
     def copy(self) -> "TwoTowerParams":
-        if self.mode == "one":
-            shared = self.user_mlp.copy()
-            return TwoTowerParams(shared, shared)
-        return TwoTowerParams(self.user_mlp.copy(), self.item_mlp.copy())
+        # deepcopy's memo keeps a shared MLP shared
+        return copy.deepcopy(self)
+
+    def forward(self, user_in: np.ndarray,
+                item_in: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """Both sides through their MLPs: (user_out, item_out, tapes for ``backward``)."""
+        user_out, user_tape = mlp_forward(self.user_mlp, user_in)
+        item_out, item_tape = mlp_forward(self.item_mlp, item_in)
+        return user_out, item_out, (user_tape, item_tape)
+
+    def backward(self, tapes: tuple, d_user_out: np.ndarray,
+                 d_item_out: np.ndarray) -> dict[str, np.ndarray]:
+        """Gradients keyed like ``named_tensors``; a shared head sums user + item."""
+        grads: dict[str, np.ndarray] = {}
+        for (prefix, mlp), tape, dy in zip(self.sides, tapes, (d_user_out, d_item_out)):
+            for name, grad in zip(TENSOR_NAMES, mlp_backward(mlp, tape, dy)):
+                key = f"{prefix}.{name}"
+                grads[key] = grads[key] + grad if key in grads else grad
+        return grads
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -204,31 +228,22 @@ def save_checkpoint(params: TwoTowerParams, adam: AdamState | None,
         "d_in": params.user_mlp.d_in,
         "d_hidden": params.user_mlp.d_hidden,
         "d_out": params.user_mlp.d_out,
-        "tensors": {},
+        "tensors": {name: {"file": f"{name}.tge", "shape": list(tensor.shape)}
+                    for name, tensor in tensors.items()},
         "adam": None,
         "meta": meta,
     }
-    for name, tensor in tensors.items():
-        fname = name + ".tge"
-        manifest["tensors"][name] = {"file": fname, "shape": list(tensor.shape)}
-        embeddings.save_matrix(tensor.reshape(1, -1) if tensor.ndim == 1 else tensor,
-                               directory / fname)
+    files = {f"{name}.tge": tensor for name, tensor in tensors.items()}
     if adam is not None:
         manifest["adam"] = {"lr": adam.lr, "beta1": adam.beta1, "beta2": adam.beta2,
                             "eps": adam.eps, "step": adam.step}
-        for prefix, bank in (("m", adam.m), ("v", adam.v)):
-            for name, tensor in bank.items():
-                fname = f"adam.{prefix}.{name}.tge"
-                embeddings.save_matrix(
-                    tensor.reshape(1, -1) if tensor.ndim == 1 else tensor,
-                    directory / fname)
+        files.update({f"adam.{bank}.{name}.tge": tensor
+                      for bank, moments in (("m", adam.m), ("v", adam.v))
+                      for name, tensor in moments.items()})
+    for fname, tensor in files.items():
+        embeddings.save_matrix(np.atleast_2d(tensor), directory / fname)
     (directory / CHECKPOINT_MANIFEST).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _load_tensor(directory: Path, fname: str, shape: list[int]) -> np.ndarray:
-    tensor = embeddings.load_matrix(directory / fname)
-    return tensor.reshape(shape)
 
 
 def load_checkpoint(
@@ -244,28 +259,20 @@ def load_checkpoint(
             f"checkpoint dimension mismatch: d_in {manifest['d_in']} != {expected_d_in}"
         )
 
-    def load_mlp(prefix: str) -> MlpParams:
-        tensors = {}
-        for short in TENSOR_NAMES:
-            entry = manifest["tensors"][f"{prefix}.{short}"]
-            tensors[short] = _load_tensor(directory, entry["file"], entry["shape"])
-        return MlpParams(**tensors)
+    def read(name: str, fname: str | None = None) -> np.ndarray:
+        """Tensor ``name``, or its moment file ``fname``, shaped as the manifest records."""
+        entry = manifest["tensors"][name]
+        return embeddings.load_matrix(directory / (fname or entry["file"])).reshape(entry["shape"])
 
-    if manifest["mode"] == "one":
-        shared = load_mlp("shared")
-        params = TwoTowerParams(shared, shared)
-    else:
-        params = TwoTowerParams(load_mlp("user"), load_mlp("item"))
-
+    params = TwoTowerParams.build(manifest["mode"], lambda prefix: MlpParams(
+        *(read(f"{prefix}.{short}") for short in TENSOR_NAMES)))
     adam = None
     if manifest["adam"] is not None:
         spec = manifest["adam"]
         adam = AdamState(params.named_tensors(), lr=spec["lr"], beta1=spec["beta1"],
                          beta2=spec["beta2"], eps=spec["eps"])
         adam.step = int(spec["step"])
-        for prefix, bank in (("m", adam.m), ("v", adam.v)):
-            for name in bank:
-                entry = manifest["tensors"][name]
-                bank[name] = _load_tensor(
-                    directory, f"adam.{prefix}.{name}.tge", entry["shape"])
+        for bank, moments in (("m", adam.m), ("v", adam.v)):
+            for name in moments:
+                moments[name] = read(name, f"adam.{bank}.{name}.tge")
     return params, adam, manifest["meta"]

@@ -20,7 +20,7 @@ from .corpus import (DatasetSplit, InteractionMatrix, MergedCorpus, interaction_
 from .diffusion import DiffusionOutput, diffuse
 from .errors import DataError
 from .ranking import MetricsReport, evaluate
-from .tower import AdamState, TwoTowerParams, adam_step, mlp_backward, mlp_forward
+from .tower import TOWER_PREFIXES, AdamState, TwoTowerParams, adam_step
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.patience < 1:
             raise DataError("patience must be >= 1")
-        if self.tower_mode not in ("one", "two"):
+        if self.tower_mode not in TOWER_PREFIXES:
             raise DataError(f"unknown tower mode {self.tower_mode!r}")
         if self.eval_every < 1:
             raise DataError("eval_every must be >= 1")
@@ -92,22 +92,7 @@ def resolve_pos_k(train, cfg: TrainConfig) -> int:
 def project(params: TwoTowerParams, user_in: np.ndarray,
             item_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Push both embedding tables through their towers (no tape kept)."""
-    user_out, _ = mlp_forward(params.user_mlp, user_in)
-    item_out, _ = mlp_forward(params.item_mlp, item_in)
-    return user_out, item_out
-
-
-def _branch_grads(params: TwoTowerParams, user_tape, item_tape,
-                  d_user_out: np.ndarray, d_item_out: np.ndarray) -> dict[str, np.ndarray]:
-    """Backprop both branches; shared mode sums the contributions."""
-    gu = mlp_backward(params.user_mlp, user_tape, d_user_out)[:4]
-    gi = mlp_backward(params.item_mlp, item_tape, d_item_out)[:4]
-    names = ("w1", "b1", "w2", "b2")
-    if params.mode == "one":
-        return {f"shared.{n}": u + i for n, u, i in zip(names, gu, gi)}
-    out = {f"user.{n}": g for n, g in zip(names, gu)}
-    out.update({f"item.{n}": g for n, g in zip(names, gi)})
-    return out
+    return params.forward(user_in, item_in)[:2]
 
 
 def _train_epoch(train, diff: DiffusionOutput, params: TwoTowerParams,
@@ -123,16 +108,12 @@ def _train_epoch(train, diff: DiffusionOutput, params: TwoTowerParams,
         batch = sample_batch(train, batch_users, pos_k, cfg.neg_samples, cfg.seed, epoch)
         unique_items, pos_local, neg_local = localize_batch(batch)
 
-        user_in = diff.user_final[batch.users]
-        item_in = diff.item_final[unique_items]
-        user_out, user_tape = mlp_forward(params.user_mlp, user_in)
-        item_out, item_tape = mlp_forward(params.item_mlp, item_in)
-
+        user_out, item_out, tapes = params.forward(diff.user_final[batch.users],
+                                                   diff.item_final[unique_items])
         try:
             loss, d_user, d_item = kcl_loss(user_out, item_out, pos_local, neg_local,
                                             cfg.temperature)
-            grads = _branch_grads(params, user_tape, item_tape, d_user, d_item)
-            adam_step(tensors, grads, adam)
+            adam_step(tensors, params.backward(tapes, d_user, d_item), adam)
         except DataError as err:
             raise DataError(f"epoch {epoch} batch {index}: {err}") from err
         total += loss * len(batch_users)

@@ -19,6 +19,9 @@ def test_artifact_digest_repeats(tmp_path):
     assert paths[-1] == "<stdout>"
     for artifact in ("ckpt/manifest.json", "eval/mlp/report.json",
                      "eval/textgcn-files/manifest.json", "recs/mlp/recs.tsv",
-                     "trials/summary.tsv"):
+                     "trials/summary.tsv", "ablation/ablation.tsv",
+                     "ablation/one-tower_k-pos/manifest.json",
+                     "ablation/one-tower_k-pos/shared.w1.tge",
+                     "eval/mlp-one-tower/manifest.json"):
         assert artifact in paths
     assert list(tmp_path.iterdir()) == []     # the work directory is removed

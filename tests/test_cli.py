@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from textgcn import cli
 from textgcn.cli import build_parser, main
 from textgcn.corpus import load_split
 from textgcn.embeddings import load_matrix
@@ -403,6 +404,22 @@ def test_tune_grid_empty_value_list_exit2(dataset_dir, mock_embeddings, tmp_path
     assert not records.exists()
 
 
+def test_tune_grid_without_values_exit2(dataset_dir, mock_embeddings, tmp_path, capsys,
+                                        monkeypatch):
+    # a grid space with defaults only must not fall back to the broad lists
+    trials = []
+    monkeypatch.setattr(cli, "train", lambda *args: trials.append(args[2]))
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps({"defaults": {"d_out": 8}}))
+    records = tmp_path / "records"
+    assert main(["tune", "--dataset", str(dataset_dir), "--embeddings", str(mock_embeddings),
+                 "--stage", "grid", "--space", str(space_file), "--records", str(records),
+                 "--max-epochs", "1"]) == 2
+    assert 'space file has no "values"' in capsys.readouterr().err
+    assert trials == []
+    assert not records.exists()
+
+
 @pytest.mark.parametrize("quantiles, message", [
     ("0.5,abc", "--quantiles must be comma-separated numbers"),
     ("1.5,-1", "--quantiles must lie in [0, 1]"),
@@ -442,8 +459,16 @@ def test_tune_out_into_missing_directory(dataset_dir, mock_embeddings, tmp_path,
      "--model textgcn needs --user-emb and --item-emb"),
     (["--model", "mlp", "--embeddings", "e.tge"],
      "--model mlp needs --checkpoint and --embeddings"),
+    (["--model", "pop", "--layers", "3"], "--model pop does not read --layers"),
+    (["--model", "random", "--layers", "3"], "--model random does not read --layers"),
+    (["--model", "textgcn", "--user-emb", "u.tge", "--item-emb", "i.tge", "--layers", "1"],
+     "--model textgcn does not read --layers"),
+    (["--model", "pop", "--seed", "9"], "--model pop does not read --seed"),
+    (["--model", "mlp", "--embeddings", "e.tge", "--checkpoint", "ck", "--seed", "9"],
+     "--model mlp does not read --seed"),
 ], ids=["textgcn-checkpoint", "pop-files", "random-checkpoint", "textgcn-both-tables",
-        "mlp-item-emb", "textgcn-one-table", "mlp-no-checkpoint"])
+        "mlp-item-emb", "textgcn-one-table", "mlp-no-checkpoint", "pop-layers",
+        "random-layers", "textgcn-tables-layers", "pop-seed", "mlp-seed"])
 def test_evaluate_file_flags_the_model_does_not_read_exit2(argv, message, tmp_path, capsys):
     # nothing exists: the flag check has to come before anything loads
     out = tmp_path / "eval" / "report.json"

@@ -1,6 +1,7 @@
 import http.server
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -223,12 +224,42 @@ def test_fetch_failure_keeps_earlier_batches_cached(tmp_path, concurrency):
                          max_attempts=1)
     for title in titles[:4]:
         assert cache.get(cache_key("m", title)) is not None
+    # concurrent batches after the failing one are kept if they had started
+    missing = [t for t in titles if cache.get(cache_key("m", t)) is None]
+    assert missing[:2] == titles[4:6]
+    if concurrency == 1:
+        assert missing == titles[4:]
 
     fake = FakeEndpoint()
     m = fetch_embeddings(catalog, "http://x", "m", batch_size=2, cache=cache, post=fake)
-    assert fake.requests == [titles[4:6], titles[6:8], titles[8:10]]
+    assert [t for request in fake.requests for t in request] == missing
     for row, title in enumerate(titles):
         assert np.allclose(m[row], fake.vector(title))
+
+
+def test_fetch_concurrent_failure_keeps_batches_that_return_later(tmp_path):
+    # batch 1 fails at 0.2 s while batches 2-4 take 0.15 s each on two workers:
+    # batch 2 returns before the failure, batches 3 and 4 after it (4 starts as
+    # the failing worker frees up), and batch 5 has not started and is cancelled
+    titles = [f"title {k}" for k in range(10)]
+    cache = VectorCache(tmp_path / "cache")
+
+    class SlowFirstBatchFails(FakeEndpoint):
+        def __call__(self, url, payload):
+            first = "title 0" in payload["input"]
+            time.sleep(0.2 if first else 0.15)
+            if first:
+                raise ConnectionError("down")
+            return super().__call__(url, payload)
+
+    fake = SlowFirstBatchFails()
+    with pytest.raises(EmbeddingServiceError, match="down"):
+        fetch_embeddings(ItemCatalog(titles), "http://x", "m", batch_size=2, cache=cache,
+                         post=fake, concurrency=2, max_attempts=1)
+    returned = sorted(t for request in fake.requests for t in request)
+    assert set(titles[2:6]) <= set(returned)
+    assert not set(titles[8:]) & set(returned)
+    assert [t for t in titles if cache.get(cache_key("m", t)) is not None] == returned
 
 
 def test_cache_put_ignores_stale_tmp_name(tmp_path):

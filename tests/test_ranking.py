@@ -88,6 +88,13 @@ class TestRecommendTopk:
         assert result.items.tolist() == [] and result.scores.tolist() == []
         assert result.truncated
 
+    @pytest.mark.parametrize("as_set", [True, False], ids=["set", "array"])
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_out_of_range_exclude_errors(self, index, as_set):
+        exclude = {0, index} if as_set else np.array([0, index])
+        with pytest.raises(DataError, match=r"outside \[0, 4\)"):
+            recommend_topk(np.ones(3), np.ones((4, 3), np.float32), exclude, k=1)
+
     def test_zero_user_vector_errors(self):
         with pytest.raises(DataError, match="zero user vector"):
             recommend_topk(np.zeros(3), np.ones((4, 3), np.float32), set(), k=1)

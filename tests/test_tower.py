@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from textgcn.errors import DataError
-from textgcn.tower import (LEAKY_SLOPE, AdamState, MlpParams, TwoTowerParams, adam_step,
-                           init_mlp, load_checkpoint, mlp_backward, mlp_forward,
+from textgcn.tower import (LEAKY_SLOPE, TENSOR_NAMES, AdamState, MlpParams, TwoTowerParams,
+                           adam_step, init_mlp, load_checkpoint, mlp_backward, mlp_forward,
                            save_checkpoint)
 
 
@@ -108,20 +108,34 @@ def test_gradients_match_central_differences(rng):
             assert abs(numeric - dx[idx]) / denom <= 1e-3
 
 
-def test_one_tower_gradients_accumulate(rng):
-    # shared-tower gradient equals the sum of the two branch gradients
-    shared = random_params(rng)
+def _head_grads(params, rng):
+    """``params.backward`` and the per-side ``mlp_backward`` results it is built from."""
     xu = rng.standard_normal((3, 6)).astype(np.float32)
     xi = rng.standard_normal((5, 6)).astype(np.float32)
-    _, tape_u = mlp_forward(shared, xu)
-    _, tape_i = mlp_forward(shared, xi)
     dyu = rng.standard_normal((3, 2)).astype(np.float32)
     dyi = rng.standard_normal((5, 2)).astype(np.float32)
-    gu = mlp_backward(shared, tape_u, dyu)[:4]
-    gi = mlp_backward(shared, tape_i, dyi)[:4]
-    for a, b in zip(gu, gi):
-        assert np.allclose(a + b, np.asarray(a, np.float64) + np.asarray(b, np.float64),
-                           atol=1e-6)
+    _, _, tapes = params.forward(xu, xi)
+    gu = mlp_backward(params.user_mlp, mlp_forward(params.user_mlp, xu)[1], dyu)[:4]
+    gi = mlp_backward(params.item_mlp, mlp_forward(params.item_mlp, xi)[1], dyi)[:4]
+    return params.backward(tapes, dyu, dyi), gu, gi
+
+
+def test_one_tower_gradients_accumulate(rng):
+    # shared-tower gradient is the user-side plus the item-side gradient
+    params = TwoTowerParams.init(6, 2, mode="one", seed=4)
+    grads, gu, gi = _head_grads(params, rng)
+    assert list(grads) == list(params.named_tensors())
+    for name, u, i in zip(TENSOR_NAMES, gu, gi):
+        assert grads[f"shared.{name}"].tobytes() == (u + i).tobytes()
+
+
+def test_two_tower_gradients_keyed_per_side(rng):
+    params = TwoTowerParams.init(6, 2, mode="two", seed=4)
+    grads, gu, gi = _head_grads(params, rng)
+    assert list(grads) == list(params.named_tensors())
+    for name, u, i in zip(TENSOR_NAMES, gu, gi):
+        assert grads[f"user.{name}"].tobytes() == u.tobytes()
+        assert grads[f"item.{name}"].tobytes() == i.tobytes()
 
 
 class TestAdam:
@@ -184,11 +198,25 @@ class TestCheckpoint:
     def test_one_tower_aliasing_survives_load(self, tmp_path):
         params = TwoTowerParams.init(6, 2, mode="one", seed=0)
         assert params.mode == "one"
-        save_checkpoint(params, None, {}, tmp_path / "ck")
-        loaded, _, _ = load_checkpoint(tmp_path / "ck")
+        adam = AdamState(params.named_tensors(), lr=5e-4)
+        adam.v["shared.b2"] += 0.5
+        save_checkpoint(params, adam, {}, tmp_path / "ck")
+        loaded, adam2, _ = load_checkpoint(tmp_path / "ck")
+        assert list(adam2.v) == list(loaded.named_tensors()) == list(params.named_tensors())
+        assert np.array_equal(adam2.v["shared.b2"], adam.v["shared.b2"])
         assert loaded.user_mlp is loaded.item_mlp
         loaded.user_mlp.w1[0, 0] = 123.0
         assert loaded.item_mlp.w1[0, 0] == 123.0
+        copied = loaded.copy()
+        assert copied.mode == "one" and copied.user_mlp is not loaded.user_mlp
+        assert copied.user_mlp.w1.tobytes() == loaded.user_mlp.w1.tobytes()
+
+    def test_unknown_mode_errors(self, tmp_path):
+        save_checkpoint(TwoTowerParams.init(6, 2, mode="two", seed=0), None, {}, tmp_path)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(manifest.read_text().replace('"two"', '"three"'))
+        with pytest.raises(DataError, match="unknown tower mode 'three'"):
+            load_checkpoint(tmp_path)
 
 
 def test_init_shapes_and_hidden_default():

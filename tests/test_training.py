@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -105,7 +107,7 @@ def test_one_and_two_tower_same_first_loss(tiny_dataset):
     split, emb = tiny_dataset
     diff = diffuse(split.train, emb, 1)
     shared = TwoTowerParams.init(16, 8, mode="one", seed=9)
-    twin = TwoTowerParams(shared.user_mlp.copy(), shared.user_mlp.copy())
+    twin = TwoTowerParams(copy.deepcopy(shared.user_mlp), copy.deepcopy(shared.user_mlp))
     assert twin.mode == "two"
 
     users = np.flatnonzero(split.train.user_degrees > 0)[:16]

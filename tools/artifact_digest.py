@@ -4,9 +4,10 @@ Usage: python tools/artifact_digest.py [SRC]
 
 Imports textgcn from SRC (default: this checkout's ``src/``) and runs, in a
 fresh temporary directory and with relative paths only: ``ingest
---synthetic``, ``embed --mock``, ``diffuse``, a short ``train``, ``evaluate``
-for every model tag (``textgcn`` both from raw embeddings and from the
-diffused files), ``recommend`` with and without the checkpoint, each
+--synthetic``, ``embed --mock``, ``diffuse``, a short ``train`` and ``train
+--ablation``, ``evaluate`` for every model tag (``textgcn`` both from raw
+embeddings and from the diffused files, ``mlp`` on the two-tower and on a
+one-tower checkpoint), ``recommend`` with and without the checkpoint, each
 asking for one user twice, and ``tune --stage broad`` over a small space
 file the tool writes followed by ``tune --stage pos`` into the same records
 directory. It prints one ``sha256  path`` line per file the run left
@@ -42,6 +43,8 @@ COMMANDS = [
     # depth 1, so commands that default to the checkpoint's depth differ from depth 2
     ["train", "--dataset", "data", "--embeddings", "emb/items.tge", "--out", "ckpt",
      "--layers", "1", *TRAIN],
+    ["train", "--dataset", "data", "--embeddings", "emb/items.tge", "--out", "ablation",
+     "--ablation", "--layers", "1", *TRAIN],
     ["evaluate", "--dataset", "data", "--model", "random", "--seed", "4",
      "--out", "eval/random/report.json"],
     ["evaluate", "--dataset", "data", "--model", "pop", "--out", "eval/pop/report.json"],
@@ -52,6 +55,9 @@ COMMANDS = [
      "--out", "eval/textgcn-files/report.json"],
     ["evaluate", "--dataset", "data", "--model", "mlp", "--checkpoint", "ckpt",
      "--embeddings", "emb/items.tge", "--out", "eval/mlp/report.json"],
+    ["evaluate", "--dataset", "data", "--model", "mlp", "--checkpoint",
+     "ablation/one-tower_k-pos", "--embeddings", "emb/items.tge",
+     "--out", "eval/mlp-one-tower/report.json"],
     ["recommend", "--dataset", "data", "--embeddings", "emb/items.tge", "--users", USERS,
      "--k", "5", "--out", "recs/plain/recs.tsv"],
     ["recommend", "--dataset", "data", "--embeddings", "emb/items.tge", "--checkpoint", "ckpt",
