@@ -26,7 +26,7 @@ from . import __version__, embeddings, search, synthetic
 from .corpus import MergedCorpus, interaction_quantile, load_split, merge_corpora, save_split
 from .diffusion import diffuse
 from .errors import DataError
-from .ranking import baseline_pop, baseline_random, evaluate, recommend_unit, unit_rows
+from .ranking import baseline_pop, baseline_random, evaluate, recommend_topk
 from .tower import TOWER_PREFIXES, load_checkpoint, save_checkpoint
 from .training import TrainConfig, ablation_variants, head_recall, model_outputs, train
 
@@ -396,7 +396,6 @@ def cmd_tune(args) -> int:
 def cmd_recommend(args) -> int:
     split = load_split(args.dataset)
     user_out, item_out, layers = _model_tables(split, args)
-    item_unit = unit_rows(item_out)
     lines = []
     for ext in args.users.split(","):
         ext = ext.strip()
@@ -405,7 +404,7 @@ def cmd_recommend(args) -> int:
         u = split.maps.user_to_dense[ext]
         if split.train.user_degrees[u] == 0:
             raise DataError(f"user {ext!r} has no training history")
-        ranking = recommend_unit(user_out[u], item_unit, split.train.items_of(u),
+        ranking = recommend_topk(user_out[u], item_out, split.train.items_of(u),
                                  args.k, user=u)
         items = "\t".join(split.maps.item_ids[i] for i in ranking.items)
         lines.append(f"{ext}\t{items}")

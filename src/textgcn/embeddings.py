@@ -36,12 +36,16 @@ ENDPOINT_ENV = "TEXTGCN_EMBED_URL"
 class EmbeddingServiceError(RuntimeError):
     """Embedding endpoint failure that survived all retries.
 
-    ``status`` is the HTTP status code when the endpoint answered with one.
+    ``status`` is the HTTP status code when the endpoint answered with one;
+    ``retry_after`` is the delay in seconds a 429 or 503 answer asked for
+    in its ``Retry-After`` header, when it gave one as delay-seconds.
     """
 
-    def __init__(self, message: str, status: int | None = None):
+    def __init__(self, message: str, status: int | None = None,
+                 retry_after: float | None = None):
         super().__init__(message)
         self.status = status
+        self.retry_after = retry_after
 
 
 def _retryable(err: Exception) -> bool:
@@ -76,16 +80,20 @@ def save_matrix(matrix: np.ndarray, path: str | Path, ids: list[str] | None = No
 
 
 def load_matrix(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:4] != MAGIC:
-        raise DataError(f"{path}: not an embedding file")
-    version, n_rows, dim = struct.unpack("<III", raw[4:16])
-    if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported embedding file version {version}")
-    need = 16 + n_rows * dim * 4
-    if len(raw) < need:
-        raise DataError(f"{path}: truncated embedding file")
-    matrix = np.frombuffer(raw[16:need], dtype="<f4").reshape(n_rows, dim).copy()
+    """Read a TGE1 file into one new writable float32 array (no second copy)."""
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if len(header) < 16 or header[:4] != MAGIC:
+            raise DataError(f"{path}: not an embedding file")
+        version, n_rows, dim = struct.unpack("<III", header[4:])
+        if version != FORMAT_VERSION:
+            raise DataError(f"{path}: unsupported embedding file version {version}")
+        # checked before allocating, so a corrupt header cannot ask for a huge array
+        if os.fstat(fh.fileno()).st_size < 16 + n_rows * dim * 4:
+            raise DataError(f"{path}: truncated embedding file")
+        matrix = np.empty((n_rows, dim), dtype="<f4")
+        if fh.readinto(memoryview(matrix).cast("B")) < matrix.nbytes:
+            raise DataError(f"{path}: truncated embedding file")
     if not np.isfinite(matrix).all():
         raise DataError(f"{path}: non-finite value in embedding file")
     return matrix
@@ -138,8 +146,12 @@ def _post_json(url: str, payload: dict, api_key: str | None, timeout: float = 60
         headers["Authorization"] = f"Bearer {api_key}"
     resp = requests.post(url, data=json.dumps(payload), headers=headers, timeout=timeout)
     if not 200 <= resp.status_code < 300:
+        # only the delay-seconds form is read; an HTTP-date falls back to the backoff
+        value = resp.headers.get("Retry-After", "").strip()
+        retry_after = (float(value) if resp.status_code in (429, 503) and value.isdecimal()
+                       else None)
         raise EmbeddingServiceError(f"HTTP {resp.status_code} from {url}: {resp.text[:500]}",
-                                    status=resp.status_code)
+                                    status=resp.status_code, retry_after=retry_after)
     return resp.json()
 
 
@@ -155,7 +167,8 @@ def _embed_batch(
     """One request with retries; vectors reordered by the response index.
 
     A 4xx answer other than 408 and 429 is raised at once: repeating the
-    request cannot change it.
+    request cannot change it. Before a retry it sleeps the failure's
+    ``retry_after`` when it has one, else the exponential backoff.
     """
     payload = {"model": model, "input": list(titles)}
     last_err: Exception | None = None
@@ -168,7 +181,8 @@ def _embed_batch(
                 raise
             last_err = err
             if attempt + 1 < max_attempts:
-                sleep(backoff * (2 ** attempt))
+                delay = err.retry_after if isinstance(err, EmbeddingServiceError) else None
+                sleep(backoff * (2 ** attempt) if delay is None else delay)
     else:
         raise EmbeddingServiceError(
             f"embedding request failed after {max_attempts} attempts: {last_err}"

@@ -254,6 +254,9 @@ def load_checkpoint(
     manifest = json.loads((directory / CHECKPOINT_MANIFEST).read_text(encoding="utf-8"))
     if manifest.get("format_version") != 1:
         raise DataError(f"unsupported checkpoint version {manifest.get('format_version')}")
+    for key in ("tensors", "d_in", "mode", "adam", "meta"):
+        if key not in manifest:
+            raise DataError(f"checkpoint manifest has no {key!r} entry")
     if expected_d_in is not None and manifest["d_in"] != expected_d_in:
         raise DataError(
             f"checkpoint dimension mismatch: d_in {manifest['d_in']} != {expected_d_in}"
@@ -261,8 +264,17 @@ def load_checkpoint(
 
     def read(name: str, fname: str | None = None) -> np.ndarray:
         """Tensor ``name``, or its moment file ``fname``, shaped as the manifest records."""
-        entry = manifest["tensors"][name]
-        return embeddings.load_matrix(directory / (fname or entry["file"])).reshape(entry["shape"])
+        entry = manifest["tensors"].get(name)
+        if entry is None:
+            raise DataError(f"checkpoint manifest has no entry for tensor {name!r}")
+        fname = fname or entry["file"]
+        tensor = embeddings.load_matrix(directory / fname)
+        shape = tuple(entry["shape"])
+        # save_checkpoint stores every tensor through np.atleast_2d
+        if tensor.shape != (1,) * (2 - len(shape)) + shape:
+            raise DataError(f"checkpoint file {fname} holds shape {list(tensor.shape)}, "
+                            f"which does not fit tensor {name!r} of shape {list(shape)}")
+        return tensor.reshape(shape)
 
     params = TwoTowerParams.build(manifest["mode"], lambda prefix: MlpParams(
         *(read(f"{prefix}.{short}") for short in TENSOR_NAMES)))

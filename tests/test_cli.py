@@ -1,6 +1,7 @@
 import http.server
 import json
 import shlex
+import shutil
 import threading
 from pathlib import Path
 
@@ -313,6 +314,18 @@ def test_checkpoint_dimension_mismatch_exit2(command, dataset_dir, checkpoint, t
     assert main([command[0], "--dataset", str(dataset_dir), "--embeddings", str(narrow),
                  "--checkpoint", str(checkpoint), *command[1:]]) == 2
     assert "checkpoint dimension mismatch" in capsys.readouterr().err
+
+
+def test_checkpoint_missing_tensor_entry_exit2(dataset_dir, mock_embeddings, checkpoint,
+                                               tmp_path, capsys):
+    broken = tmp_path / "ck"
+    shutil.copytree(checkpoint, broken)
+    manifest = json.loads((broken / "manifest.json").read_text())
+    del manifest["tensors"]["user.w2"]
+    (broken / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["evaluate", "--dataset", str(dataset_dir), "--model", "mlp", "--embeddings",
+                 str(mock_embeddings), "--checkpoint", str(broken)]) == 2
+    assert "no entry for tensor 'user.w2'" in capsys.readouterr().err
 
 
 def test_out_into_missing_directory_records_depth_used(dataset_dir, mock_embeddings,

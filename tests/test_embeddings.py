@@ -21,6 +21,7 @@ def test_save_load_roundtrip(tmp_path, rng):
     assert again.dtype == np.float32
     assert np.array_equal(m, again)
     assert again.tobytes() == m.tobytes()
+    assert again.flags.writeable
     assert load_ids(path) == [f"i{k}" for k in range(7)]
 
 
@@ -37,6 +38,20 @@ def test_load_truncated(tmp_path, rng):
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(DataError, match="truncated"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("cut, match", [
+    (lambda raw: raw[:16], "truncated"),
+    (lambda raw: raw[:10], "not an embedding file"),
+    # a header claiming 2**32 - 1 rows is refused before any allocation
+    (lambda raw: raw[:8] + b"\xff\xff\xff\xff" + raw[12:], "truncated"),
+], ids=["header-only", "mid-header", "huge-header"])
+def test_load_cut_at_header(tmp_path, rng, cut, match):
+    path = tmp_path / "m.tge"
+    save_matrix(rng.standard_normal((4, 4)).astype(np.float32), path)
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(DataError, match=match):
         load_matrix(path)
 
 
@@ -206,6 +221,31 @@ def test_fetch_transient_status_retried(status):
     assert sleeps == [0.5, 1.0]
 
 
+class RetryAfterEndpoint(FakeEndpoint):
+    """Fails its first request with one status and Retry-After delay, then answers."""
+
+    def __init__(self, status, retry_after):
+        super().__init__()
+        self.failure = EmbeddingServiceError(f"HTTP {status}", status=status,
+                                             retry_after=retry_after)
+
+    def __call__(self, url, payload):
+        failure, self.failure = self.failure, None
+        if failure is not None:
+            raise failure
+        return super().__call__(url, payload)
+
+
+@pytest.mark.parametrize("status, retry_after, slept", [
+    (429, 7.0, 7.0), (503, 0.0, 0.0)])
+def test_fetch_sleeps_retry_after(status, retry_after, slept):
+    sleeps = []
+    fetch_embeddings(ItemCatalog(["a"]), "http://x", "m",
+                     post=RetryAfterEndpoint(status, retry_after),
+                     max_attempts=3, backoff=0.5, sleep=sleeps.append)
+    assert sleeps == [slept]
+
+
 @pytest.mark.parametrize("concurrency", [1, 3])
 def test_fetch_failure_keeps_earlier_batches_cached(tmp_path, concurrency):
     titles = [f"title {k}" for k in range(10)]
@@ -294,6 +334,7 @@ def test_cache_is_content_addressed(tmp_path):
 
 class _Handler(http.server.BaseHTTPRequestHandler):
     status = 200
+    retry_after: str | None = None
 
     def do_POST(self):
         n = int(self.headers["Content-Length"])
@@ -301,6 +342,8 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         if self.status != 200:
             body = b"quota exceeded"
             self.send_response(self.status)
+            if self.retry_after is not None:
+                self.send_header("Retry-After", self.retry_after)
         else:
             data = [{"index": i, "embedding": [float(i), 1.0]}
                     for i in range(len(payload["input"]))]
@@ -340,3 +383,22 @@ def test_fetch_http_error_surfaces_body(http_endpoint):
                              max_attempts=1, sleep=lambda s: None)
     finally:
         _Handler.status = 200
+
+
+@pytest.mark.parametrize("status, header, slept", [
+    (429, "3", 3.0),
+    (503, " 2 ", 2.0),
+    (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5),   # HTTP-date: the backoff
+    (503, "soon", 0.5),
+    (500, "3", 0.5),   # only 429 and 503 carry a delay to honour
+])
+def test_fetch_over_http_honours_retry_after(http_endpoint, status, header, slept):
+    _Handler.status, _Handler.retry_after = status, header
+    sleeps = []
+    try:
+        with pytest.raises(EmbeddingServiceError, match="after 2 attempts"):
+            fetch_embeddings(ItemCatalog(["one"]), http_endpoint, "m", api_key="k",
+                             max_attempts=2, backoff=0.5, sleep=sleeps.append)
+    finally:
+        _Handler.status, _Handler.retry_after = 200, None
+    assert sleeps == [slept]

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,13 @@ def brute_force_metrics(topk, relevant, k):
     ndcg = dcg / idcg
     hr = 1.0 if hits else 0.0
     return recall, ndcg, hr
+
+
+def dot_over_norms(items, u):
+    """recommend_topk's documented scores: (items @ u_unit) / row norms, 0 norms as 1."""
+    norms = np.sqrt(np.einsum("ij,ij->i", items, items))
+    norms[norms == 0] = 1.0
+    return (items @ (u / np.linalg.norm(u))) / norms
 
 
 class TestRecommendTopk:
@@ -75,13 +83,40 @@ class TestRecommendTopk:
             for n_exclude in (0, 4, n_items - 3, n_items):
                 exclude = rng.choice(n_items, size=n_exclude, replace=False)
                 got = recommend_topk(u, items, set(exclude.tolist()) if as_set else exclude, k)
-                scores = ranking.unit_rows(items) @ (u / np.linalg.norm(u))
+                scores = dot_over_norms(items, u)
                 masked = scores.copy()
                 masked[exclude] = -np.inf
                 want = reference_topk(masked, k)
                 assert got.items.tolist() == want.tolist()
                 assert got.scores.tolist() == scores[want].tolist()
                 assert got.truncated == (n_items - n_exclude < k)
+
+    def test_scores_match_float64_cosine(self, rng):
+        # zero rows and rows scaled over six orders of magnitude
+        for n, d in ((50, 8), (400, 64)):
+            items = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+            items[rng.choice(n, size=5, replace=False)] = 0.0
+            items = items.astype(np.float32)
+            u = rng.standard_normal(d).astype(np.float32)
+            got = recommend_topk(u, items, set(), k=n)
+            wide, wide_u = items.astype(np.float64), u.astype(np.float64)
+            norms = np.linalg.norm(wide, axis=1)
+            cosine = (wide @ wide_u) / np.where(norms == 0, 1.0, norms) / np.linalg.norm(wide_u)
+            assert sorted(got.items.tolist()) == list(range(n))
+            np.testing.assert_allclose(got.scores, cosine[got.items], rtol=0, atol=1e-6)
+            assert np.all(got.scores[norms[got.items] == 0] == 0.0)
+
+    def test_request_allocates_no_table_copy(self, rng):
+        items = rng.standard_normal((4000, 64)).astype(np.float32)
+        u = rng.standard_normal(64).astype(np.float32)
+        exclude = np.arange(0, 4000, 7)
+        tracemalloc.start()
+        try:
+            recommend_topk(u, items, exclude, k=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < items.nbytes / 4
 
     def test_empty_item_table(self):
         result = recommend_topk(np.ones(3), np.zeros((0, 3), np.float32), set(), k=2)

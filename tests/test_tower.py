@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,26 @@ class TestCheckpoint:
         manifest = tmp_path / "manifest.json"
         manifest.write_text(manifest.read_text().replace('"two"', '"three"'))
         with pytest.raises(DataError, match="unknown tower mode 'three'"):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda m: m["tensors"].pop("user.w2"), "no entry for tensor 'user.w2'"),
+        (lambda m: m.pop("tensors"), "no 'tensors' entry"),
+        (lambda m: m.pop("d_in"), "no 'd_in' entry"),
+        (lambda m: m.pop("mode"), "no 'mode' entry"),
+        (lambda m: m.pop("adam"), "no 'adam' entry"),
+        (lambda m: m.pop("meta"), "no 'meta' entry"),
+        (lambda m: m["tensors"]["item.w1"].update(shape=[6, 3]), "tensor 'item.w1' of shape"),
+        (lambda m: m["tensors"]["user.b1"].update(shape=[4]), "tensor 'user.b1' of shape"),
+    ], ids=["tensor-entry", "tensors", "d_in", "mode", "adam", "meta", "transposed",
+            "bias-length"])
+    def test_malformed_manifest_errors(self, tmp_path, edit, match):
+        save_checkpoint(TwoTowerParams.init(6, 2, mode="two", seed=0), None, {}, tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=match):
             load_checkpoint(tmp_path)
 
 
