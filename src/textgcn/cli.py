@@ -3,7 +3,9 @@
 Every command that produces files, except ``tune``, also writes a
 ``manifest.json`` capturing the resolved configuration, input checksums and
 package version, enough to re-run it exactly (``tune`` would read one back
-from its records directory as a trial). The manifests of ``evaluate`` and
+from its records directory as a trial). A command exits 2 before loading
+anything rather than replace a manifest another command wrote. Every file
+is written through ``files.write_atomic``. The manifests of ``evaluate`` and
 ``recommend`` record the diffusion depth actually used: ``--layers``, else
 the checkpoint's training depth, else 2. Outputs are deterministic for a
 fixed seed; anything wall-clock related stays out of primary outputs. Exit
@@ -26,6 +28,7 @@ from . import __version__, embeddings, search, synthetic
 from .corpus import MergedCorpus, interaction_quantile, load_split, merge_corpora, save_split
 from .diffusion import diffuse
 from .errors import DataError
+from .files import write_atomic
 from .ranking import baseline_pop, baseline_random, evaluate, recommend_topk
 from .tower import TOWER_PREFIXES, load_checkpoint, save_checkpoint
 from .training import TrainConfig, ablation_variants, head_recall, model_outputs, train
@@ -50,24 +53,42 @@ def _input_checksums(paths: dict[str, Path]) -> dict:
     return out
 
 
+def _claim_manifest(out_dir: str | Path, command: str) -> None:
+    """Refuse, before anything loads, to replace a manifest another command wrote.
+
+    A checkpoint's manifest is ``train``'s; an unreadable one is foreign.
+    """
+    path = Path(out_dir) / "manifest.json"
+    if not path.exists():
+        return
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        raw = None
+    owner = (("train" if "tensors" in raw else raw.get("command"))
+             if isinstance(raw, dict) else None)
+    if owner != command:
+        raise DataError(f"{path} was written by {owner or 'another program'}; "
+                        f"{command} will not replace it")
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict,
                     inputs: dict[str, Path]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "config": config,
         "inputs": _input_checksums(inputs),
         "version": __version__,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with write_atomic(out_dir / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _write_output(args, command: str, text: str, config: dict) -> None:
     """Write ``text`` to --out, creating its directory, and a manifest beside it."""
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text, encoding="utf-8")
+    with write_atomic(out) as fh:
+        fh.write(text)
     inputs = {name: Path(getattr(args, name))
               for name in ("dataset", "embeddings", "user_emb", "item_emb", "checkpoint")
               if getattr(args, name, None)}
@@ -171,9 +192,10 @@ def cmd_ingest(args) -> int:
     if args.synthetic:
         if not args.out:
             raise DataError("--synthetic requires --out")
+        out = Path(args.out)
+        _claim_manifest(out, "ingest")
         cfg = synthetic.parse_synthetic_spec(args.synthetic)
         split = synthetic.generate_clustered_split(cfg)
-        out = Path(args.out)
         save_split(split, out)
         _write_manifest(out, "ingest", {"synthetic": asdict(cfg)}, {})
         source = out
@@ -196,10 +218,10 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    out_path = Path(args.out)
+    _claim_manifest(out_path.parent, "embed")
     file_cfg = _load_config_file(args.config)
     split = load_split(args.dataset)
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     resolved: dict = {"dataset": str(args.dataset), "out": str(out_path)}
     if args.mock:
         dim = int(_resolve(args.dim, file_cfg, "dim", default=64))
@@ -238,10 +260,10 @@ def cmd_embed(args) -> int:
 
 
 def cmd_diffuse(args) -> int:
+    out = Path(args.out)
+    _claim_manifest(out, "diffuse")
     split = load_split(args.dataset)
     item_emb = _load_rows(args.embeddings, split.maps.item_ids)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = diffuse(split.train, item_emb, args.layers)
     embeddings.save_matrix(result.user_final, out / "user_final.tge",
                            ids=split.maps.user_ids)
@@ -266,28 +288,33 @@ def _run_one_training(corpus: MergedCorpus, item_emb: np.ndarray, cfg: TrainConf
             "test_recall": test_recall,
             "inputs": _input_checksums(inputs), "version": __version__}
     save_checkpoint(params, None, meta, out)
-    (out / "log.jsonl").write_text(log.to_jsonl(), encoding="utf-8")
+    with write_atomic(out / "log.jsonl") as fh:
+        fh.write(log.to_jsonl())
     return log, test_recall
 
 
 def cmd_train(args) -> int:
+    out = Path(args.out)
     file_cfg = _load_config_file(args.config)
     cfg = _train_config(args, file_cfg)
+    variants = [(label, variant_cfg, out / label.replace("/", "_"))
+                for label, variant_cfg in ablation_variants(cfg)] if args.ablation else []
+    for directory in [out] + [vdir for _, _, vdir in variants]:
+        _claim_manifest(directory, "train")
     corpus, item_emb = _load_corpus(args.dataset, args.embeddings)
-    out = Path(args.out)
     inputs = {f"dataset{i}": Path(p) for i, p in enumerate(args.dataset)}
     inputs.update({f"embeddings{i}": Path(p) for i, p in enumerate(args.embeddings)})
 
     if args.ablation:
         rows = []
-        for label, variant_cfg in ablation_variants(cfg):
-            vdir = out / label.replace("/", "_")
+        for label, variant_cfg, vdir in variants:
             log, test_recall = _run_one_training(corpus, item_emb, variant_cfg, vdir, inputs)
             rows.append((label, log.best_val_recall, test_recall, log.best_epoch))
         table = "variant\tval_recall\ttest_recall\tbest_epoch\n" + "".join(
             f"{label}\t{val:.6f}\t{test:.6f}\t{epoch}\n"
             for label, val, test, epoch in rows)
-        (out / "ablation.tsv").write_text(table, encoding="utf-8")
+        with write_atomic(out / "ablation.tsv") as fh:
+            fh.write(table)
         print(table, end="")
         _write_manifest(out, "train",
                         {"train_config": asdict(cfg), "ablation": True}, inputs)
@@ -324,6 +351,8 @@ def _evaluate_inputs(args) -> None:
 
 def cmd_evaluate(args) -> int:
     _evaluate_inputs(args)
+    if args.out:
+        _claim_manifest(Path(args.out).parent, "evaluate")
     split = load_split(args.dataset)
     k = args.k
     layers = args.layers
@@ -387,13 +416,14 @@ def cmd_tune(args) -> int:
     else:
         best = {"best_config": search.pos_quantile_sweep(quantiles, defaults, runner, store)}
     print(json.dumps(best, sort_keys=True))
-    out_tsv = Path(args.out) if args.out else Path(args.records) / "summary.tsv"
-    out_tsv.parent.mkdir(parents=True, exist_ok=True)
-    out_tsv.write_text(search.summary_tsv(store.records()), encoding="utf-8")
+    with write_atomic(args.out or Path(args.records) / "summary.tsv") as fh:
+        fh.write(search.summary_tsv(store.records()))
     return 0
 
 
 def cmd_recommend(args) -> int:
+    if args.out:
+        _claim_manifest(Path(args.out).parent, "recommend")
     split = load_split(args.dataset)
     user_out, item_out, layers = _model_tables(split, args)
     lines = []

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .files import write_atomic
 
 TRAIN_FILE = "train.txt"
 VAL_FILE = "val.txt"
@@ -214,7 +215,7 @@ def _read_pairs(path: Path, maps: IdMaps) -> tuple[np.ndarray, np.ndarray]:
 
 def write_interactions(matrix: InteractionMatrix, maps: IdMaps, path: str | Path) -> None:
     """Serialize to the adjacency-list format; one line per user in dense order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomic(path) as fh:
         for u in range(matrix.n_users):
             items = " ".join(maps.item_ids[i] for i in matrix.items_of(u))
             fh.write(maps.user_ids[u] + (" " + items if items else "") + "\n")
@@ -297,11 +298,10 @@ def load_split(directory: str | Path, name: str | None = None) -> DatasetSplit:
 def save_split(split: DatasetSplit, directory: str | Path) -> None:
     """Write a DatasetSplit back to its four-file directory layout."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     write_interactions(split.train, split.maps, directory / TRAIN_FILE)
     write_interactions(split.val, split.maps, directory / VAL_FILE)
     write_interactions(split.test, split.maps, directory / TEST_FILE)
-    with open(directory / TITLES_FILE, "w", encoding="utf-8") as fh:
+    with write_atomic(directory / TITLES_FILE) as fh:
         for idx, title in enumerate(split.catalog.titles):
             fh.write(f"{split.maps.item_ids[idx]}\t{title}\n")
 

@@ -5,7 +5,8 @@ Vectors are stored row-major float32 in a small binary container (magic
 each row. Fetched vectors are kept exactly as the provider returned them;
 no re-normalization happens at ingestion. The cache is content-addressed
 by (model name, title), so renaming an item without changing its title is
-a cache hit.
+a cache hit. Every file, cache entries included, is written whole by
+``files.write_atomic``: an interrupted write never leaves a torn one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import hashlib
 import json
 import os
 import struct
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
@@ -25,6 +25,7 @@ import requests
 
 from .corpus import ItemCatalog
 from .errors import DataError
+from .files import write_atomic
 
 MAGIC = b"TGE1"
 FORMAT_VERSION = 1
@@ -68,15 +69,14 @@ def save_matrix(matrix: np.ndarray, path: str | Path, ids: list[str] | None = No
     """Write a float32 matrix in the TGE1 container; bit-exact round trip."""
     matrix = validate_matrix(matrix)
     n_rows, dim = matrix.shape
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<III", FORMAT_VERSION, n_rows, dim))
-        fh.write(matrix.tobytes())
+    if ids is not None and len(ids) != n_rows:
+        raise DataError("sidecar ID count does not match row count")
+    with write_atomic(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<III", FORMAT_VERSION, n_rows, dim))
+        fh.write(matrix)
     if ids is not None:
-        if len(ids) != n_rows:
-            raise DataError("sidecar ID count does not match row count")
-        Path(str(path) + ".ids").write_text("".join(f"{i}\n" for i in ids), encoding="utf-8")
+        with write_atomic(str(path) + ".ids") as fh:
+            fh.write("".join(f"{i}\n" for i in ids))
 
 
 def load_matrix(path: str | Path) -> np.ndarray:
@@ -109,35 +109,17 @@ def cache_key(model: str, title: str) -> str:
 
 
 class VectorCache:
-    """Directory of per-key vector files; each write is atomic.
-
-    A write goes to a uniquely named temp file in the directory and is
-    renamed over the key, so concurrent writers, in this process or
-    others, never share a temp file and readers never see a partial one.
-    """
+    """Directory of per-key vector files, made on the first put."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.directory / key
 
     def get(self, key: str) -> np.ndarray | None:
-        path = self._path(key)
-        if not path.exists():
-            return None
-        return load_matrix(path)[0]
+        path = self.directory / key
+        return load_matrix(path)[0] if path.exists() else None
 
     def put(self, key: str, vector: np.ndarray) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
-        os.close(fd)
-        try:
-            save_matrix(vector.reshape(1, -1), tmp)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        save_matrix(vector.reshape(1, -1), self.directory / key)
 
 
 def _post_json(url: str, payload: dict, api_key: str | None, timeout: float = 60.0) -> dict:

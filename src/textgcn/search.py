@@ -6,10 +6,12 @@ is shared across sweeps and runs once). Stage two exhaustively evaluates a
 small operator-chosen cartesian grid, and a third sweep picks the
 positive-count policy. Every stage is a list of configurations handed to
 ``run_trials`` plus a rule that selects by validation recall. Records are
-keyed by a hash of the full configuration and written atomically (temp
-file + rename), so an interrupted search resumes without recomputing and
-several processes can share one record directory. Records hold no timing,
-so rerunning a search writes byte-identical record files.
+keyed by a hash of the full configuration and written through
+``files.write_atomic``, so an interrupted search resumes without
+recomputing and several processes can share one record directory. Only
+``<16 hex digits>.json`` files are read back as records, so other JSON in
+the directory is ignored. Records hold no timing, so rerunning a search
+writes byte-identical record files.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import os
-import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
 from .errors import DataError
+from .files import write_atomic
 from .training import TrainConfig
 
 BROAD_VALUES: dict[str, list] = {
@@ -95,25 +96,17 @@ class TrialStore:
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self._mem: dict[str, TrialRecord] = {
             path.stem: TrialRecord.from_json(path.read_text(encoding="utf-8"))
-            for path in sorted(self.directory.glob("*.json"))}
+            for path in sorted(self.directory.glob("[0-9a-f]" * 16 + ".json"))}
 
     def get(self, key: str) -> TrialRecord | None:
         return self._mem.get(key)
 
     def put(self, key: str, record: TrialRecord) -> None:
         self._mem[key] = record
-        # a private temp name: processes sharing the directory may write one key at once
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f".{key}.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(record.to_json() + "\n")
-            os.replace(tmp, self.directory / f"{key}.json")
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        with write_atomic(self.directory / f"{key}.json") as fh:
+            fh.write(record.to_json() + "\n")
 
     def records(self) -> list[TrialRecord]:
         return list(self._mem.values())

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import embeddings
 from .errors import DataError
+from .files import write_atomic
 
 LEAKY_SLOPE = 0.01
 CHECKPOINT_MANIFEST = "manifest.json"
@@ -163,10 +164,11 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
 
 def mlp_backward(
     params: MlpParams, tape: tuple, dy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact gradients of the forward map: (dw1, db1, dw2, db2, dx).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact weight gradients of the forward map: (dw1, db1, dw2, db2).
 
-    The LeakyReLU subgradient at exactly zero is taken as 1.
+    No input gradient: the inputs are frozen diffusion output. The
+    LeakyReLU subgradient at exactly zero is taken as 1.
     """
     x, hidden_pre, hidden = tape
     dy = np.ascontiguousarray(dy, dtype=np.float32)
@@ -178,8 +180,7 @@ def mlp_backward(
     dpre = dhidden * np.where(hidden_pre >= 0, np.float32(1.0), np.float32(LEAKY_SLOPE))
     dw1 = dpre.T @ x
     db1 = dpre.sum(axis=0)
-    dx = dpre @ params.w1
-    return dw1, db1, dw2, db2, dx
+    return dw1, db1, dw2, db2
 
 
 class AdamState:
@@ -220,7 +221,6 @@ def save_checkpoint(params: TwoTowerParams, adam: AdamState | None,
                     meta: dict, directory: str | Path) -> None:
     """Write tensors (and optimizer moments) bit-exactly plus a JSON manifest."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     tensors = params.named_tensors()
     manifest: dict = {
         "format_version": 1,
@@ -242,8 +242,15 @@ def save_checkpoint(params: TwoTowerParams, adam: AdamState | None,
                       for name, tensor in moments.items()})
     for fname, tensor in files.items():
         embeddings.save_matrix(np.atleast_2d(tensor), directory / fname)
-    (directory / CHECKPOINT_MANIFEST).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with write_atomic(directory / CHECKPOINT_MANIFEST) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _require(entry, keys: tuple[str, ...], what: str) -> None:
+    """DataError naming ``what`` unless ``entry`` is a JSON object holding every key."""
+    for key in keys:
+        if not isinstance(entry, dict) or key not in entry:
+            raise DataError(f"{what} has no {key!r} entry")
 
 
 def load_checkpoint(
@@ -251,12 +258,14 @@ def load_checkpoint(
 ) -> tuple[TwoTowerParams, AdamState | None, dict]:
     """Restore a checkpoint; one-tower checkpoints alias both sides again."""
     directory = Path(directory)
-    manifest = json.loads((directory / CHECKPOINT_MANIFEST).read_text(encoding="utf-8"))
-    if manifest.get("format_version") != 1:
-        raise DataError(f"unsupported checkpoint version {manifest.get('format_version')}")
-    for key in ("tensors", "d_in", "mode", "adam", "meta"):
-        if key not in manifest:
-            raise DataError(f"checkpoint manifest has no {key!r} entry")
+    try:
+        manifest = json.loads((directory / CHECKPOINT_MANIFEST).read_text(encoding="utf-8"))
+    except ValueError as err:
+        raise DataError(f"{directory / CHECKPOINT_MANIFEST}: not valid JSON ({err})") from None
+    _require(manifest, ("format_version", "tensors", "d_in", "mode", "adam", "meta"),
+             "checkpoint manifest")
+    if manifest["format_version"] != 1:
+        raise DataError(f"unsupported checkpoint version {manifest['format_version']}")
     if expected_d_in is not None and manifest["d_in"] != expected_d_in:
         raise DataError(
             f"checkpoint dimension mismatch: d_in {manifest['d_in']} != {expected_d_in}"
@@ -267,6 +276,7 @@ def load_checkpoint(
         entry = manifest["tensors"].get(name)
         if entry is None:
             raise DataError(f"checkpoint manifest has no entry for tensor {name!r}")
+        _require(entry, ("file", "shape"), f"checkpoint manifest entry for tensor {name!r}")
         fname = fname or entry["file"]
         tensor = embeddings.load_matrix(directory / fname)
         shape = tuple(entry["shape"])
@@ -281,6 +291,8 @@ def load_checkpoint(
     adam = None
     if manifest["adam"] is not None:
         spec = manifest["adam"]
+        _require(spec, ("lr", "beta1", "beta2", "eps", "step"),
+                 'checkpoint manifest "adam" object')
         adam = AdamState(params.named_tensors(), lr=spec["lr"], beta1=spec["beta1"],
                          beta2=spec["beta2"], eps=spec["eps"])
         adam.step = int(spec["step"])

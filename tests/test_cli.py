@@ -492,6 +492,87 @@ def test_evaluate_file_flags_the_model_does_not_read_exit2(argv, message, tmp_pa
     assert not out.parent.exists()
 
 
+def test_commands_refuse_to_replace_a_checkpoint_manifest(dataset_dir, mock_embeddings,
+                                                          checkpoint, tmp_path, capsys):
+    ck = tmp_path / "ck"
+    shutil.copytree(checkpoint, ck)
+    before = {p.name: p.read_bytes() for p in ck.iterdir()}
+    for argv in (["evaluate", "--model", "pop", "--out", str(ck / "report.json")],
+                 ["diffuse", "--embeddings", str(mock_embeddings), "--out", str(ck)],
+                 ["recommend", "--embeddings", str(mock_embeddings), "--users", "u0",
+                  "--out", str(ck / "recs.tsv")]):
+        assert main([argv[0], "--dataset", str(dataset_dir), *argv[1:]]) == 2
+        assert "written by train" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in ck.iterdir()} == before
+    assert main(["evaluate", "--dataset", str(dataset_dir), "--model", "mlp",
+                 "--checkpoint", str(ck), "--embeddings", str(mock_embeddings)]) == 0
+
+
+def test_embed_refuses_to_replace_the_ingest_manifest(dataset_dir, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(dataset_dir, ds)
+    before = (ds / "manifest.json").read_bytes()
+    assert main(["embed", "--dataset", str(ds), "--out", str(ds / "items.tge"),
+                 "--mock", "--dim", "8"]) == 2
+    assert "written by ingest; embed will not replace it" in capsys.readouterr().err
+    assert (ds / "manifest.json").read_bytes() == before
+    assert not (ds / "items.tge").exists()
+
+
+def test_manifest_refusal_comes_before_loading(tmp_path, capsys):
+    # an unreadable manifest counts as another command's
+    (tmp_path / "manifest.json").write_text('{"command": "evalu')
+    assert main(["evaluate", "--dataset", str(tmp_path / "absent"), "--model", "pop",
+                 "--out", str(tmp_path / "report.json")]) == 2
+    assert "written by another program" in capsys.readouterr().err
+
+
+def test_a_command_replaces_its_own_manifest(dataset_dir, mock_embeddings, tmp_path, capsys):
+    for name in ("a.json", "b.json"):
+        assert main(["evaluate", "--dataset", str(dataset_dir), "--model", "pop",
+                     "--out", str(tmp_path / "eval" / name)]) == 0
+    manifest = json.loads((tmp_path / "eval" / "manifest.json").read_text())
+    assert manifest["config"]["out"] == str(tmp_path / "eval" / "b.json")
+    train = ["train", "--dataset", str(dataset_dir), "--embeddings", str(mock_embeddings),
+             "--max-epochs", "1", "--out-dim", "8", "--neg", "16", "--batch", "16"]
+    for _ in range(2):
+        assert main(train + ["--out", str(tmp_path / "ck")]) == 0
+    # train --ablation checks every variant directory it would write
+    assert main(["evaluate", "--dataset", str(dataset_dir), "--model", "pop",
+                 "--out", str(tmp_path / "abl" / "two-tower_k-pos" / "r.json")]) == 0
+    capsys.readouterr()
+    assert main(train + ["--ablation", "--out", str(tmp_path / "abl")]) == 2
+    assert "two-tower_k-pos" in capsys.readouterr().err
+    assert not (tmp_path / "abl" / "one-tower_1-pos").exists()
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda text: text[:200], "not valid JSON"),
+    (lambda text: text.replace('"file": "user.w2.tge",', ""),
+     "tensor 'user.w2' has no 'file' entry"),
+], ids=["torn", "entry-without-file"])
+def test_evaluate_broken_checkpoint_manifest_exit2(dataset_dir, mock_embeddings, checkpoint,
+                                                   tmp_path, capsys, edit, match):
+    ck = tmp_path / "ck"
+    shutil.copytree(checkpoint, ck)
+    manifest = ck / "manifest.json"
+    manifest.write_text(edit(manifest.read_text()))
+    assert main(["evaluate", "--dataset", str(dataset_dir), "--model", "mlp",
+                 "--checkpoint", str(ck), "--embeddings", str(mock_embeddings)]) == 2
+    assert match in capsys.readouterr().err
+
+
+def test_tune_ignores_other_json_in_records(dataset_dir, mock_embeddings, tmp_path, capsys):
+    trials = tmp_path / "trials"
+    assert main(["evaluate", "--dataset", str(dataset_dir), "--model", "pop",
+                 "--out", str(trials / "pop.json")]) == 0
+    assert main(["tune", "--dataset", str(dataset_dir), "--embeddings", str(mock_embeddings),
+                 "--stage", "pos", "--quantiles", "0.5", "--records", str(trials),
+                 "--max-epochs", "1", "--out-dim", "8", "--neg", "16", "--batch", "16"]) == 0
+    rows = (trials / "summary.tsv").read_text().strip().split("\n")
+    assert len(rows) == 3     # header plus the two trials, not the report
+
+
 def test_ablation_flag_emits_table(dataset_dir, mock_embeddings, tmp_path):
     out = tmp_path / "abl"
     assert main(["train", "--dataset", str(dataset_dir),

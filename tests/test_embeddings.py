@@ -305,7 +305,8 @@ def test_fetch_concurrent_failure_keeps_batches_that_return_later(tmp_path):
 def test_cache_put_ignores_stale_tmp_name(tmp_path):
     cache = VectorCache(tmp_path / "c")
     key = cache_key("m", "t")
-    (cache.directory / f"{key}.tmp").mkdir()
+    # the cache makes its directory on the first put
+    (cache.directory / f"{key}.tmp").mkdir(parents=True)
     vec = np.arange(3, dtype=np.float32)
     cache.put(key, vec)
     assert np.array_equal(cache.get(key), vec)

@@ -194,11 +194,22 @@ def test_store_put_uses_a_private_temp_name(tmp_path):
     store = TrialStore(tmp_path / "rec")
     record = TrialRecord(config={"lr": 1e-3}, val_recall=0.4)
     key = config_hash(record.config)
-    (tmp_path / "rec" / f".{key}.tmp").mkdir()
+    # the store makes its directory on the first put
+    (tmp_path / "rec" / f".{key}.tmp").mkdir(parents=True)
     store.put(key, record)
     assert TrialStore(tmp_path / "rec").get(key) == record
     # no temp file is left behind
     assert sorted(p.name for p in (tmp_path / "rec").iterdir()) == [f".{key}.tmp", f"{key}.json"]
+
+
+def test_store_reads_only_hash_named_records(tmp_path):
+    # a report parked in the records directory is not a trial
+    store = TrialStore(tmp_path / "rec")
+    record = TrialRecord(config={"lr": 1e-3}, val_recall=0.4)
+    store.put(config_hash(record.config), record)
+    (tmp_path / "rec" / "pop.json").write_text('{"recall": 0.1}\n')
+    (tmp_path / "rec" / "manifest.json").write_text('{"command": "evaluate"}\n')
+    assert TrialStore(tmp_path / "rec").records() == [record]
 
 
 def test_summary_tsv_sorted():
