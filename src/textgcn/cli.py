@@ -28,10 +28,11 @@ from . import __version__, embeddings, search, synthetic
 from .corpus import MergedCorpus, interaction_quantile, load_split, merge_corpora, save_split
 from .diffusion import diffuse
 from .errors import DataError
-from .files import write_atomic
+from .files import read_json_object, write_atomic
 from .ranking import baseline_pop, baseline_random, evaluate, recommend_topk
-from .tower import TOWER_PREFIXES, load_checkpoint, save_checkpoint
-from .training import TrainConfig, ablation_variants, head_recall, model_outputs, train
+from .tower import TOWER_PREFIXES, TwoTowerParams, load_checkpoint, save_checkpoint
+from .training import (TrainConfig, ablation_variants, apply_zero_shot, head_recall,
+                       model_outputs, train)
 
 
 def _sha256(path: Path) -> str:
@@ -62,11 +63,10 @@ def _claim_manifest(out_dir: str | Path, command: str) -> None:
     if not path.exists():
         return
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        raw = None
-    owner = (("train" if "tensors" in raw else raw.get("command"))
-             if isinstance(raw, dict) else None)
+        raw = read_json_object(path)
+    except (OSError, DataError):
+        raw = {}
+    owner = "train" if "tensors" in raw else raw.get("command")
     if owner != command:
         raise DataError(f"{path} was written by {owner or 'another program'}; "
                         f"{command} will not replace it")
@@ -93,15 +93,6 @@ def _write_output(args, command: str, text: str, config: dict) -> None:
               for name in ("dataset", "embeddings", "user_emb", "item_emb", "checkpoint")
               if getattr(args, name, None)}
     _write_manifest(out.parent, command, dict(config, out=str(out)), inputs)
-
-
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise DataError(f"{path}: config file must hold a JSON object")
-    return raw
 
 
 def _resolve(flag, file_cfg: dict, key: str, env: str | None = None, default=None):
@@ -142,13 +133,6 @@ def _train_config(args, file_cfg: dict) -> TrainConfig:
     return replace(TrainConfig(), **overrides)
 
 
-def _layers(flag: int | None, meta: dict | None = None) -> int:
-    """Diffusion depth: the --layers flag, else the checkpoint's training depth, else 2."""
-    if flag is not None:
-        return flag
-    return int((meta or {}).get("train_config", {}).get("n_layers", 2))
-
-
 def _load_rows(path: str, expected_ids: list[str]) -> np.ndarray:
     """Load a .tge whose rows must follow ``expected_ids``.
 
@@ -164,17 +148,19 @@ def _load_rows(path: str, expected_ids: list[str]) -> np.ndarray:
     return matrix
 
 
-def _model_tables(split, args) -> tuple[np.ndarray, np.ndarray, int]:
-    """User and item tables of --embeddings and an optional --checkpoint, plus the depth used.
+def _load_model(split, args) -> tuple[TwoTowerParams | None, np.ndarray, int]:
+    """The --checkpoint towers (None without one), the --embeddings table and the depth.
 
-    The tables come from ``model_outputs`` over the split's train graph.
+    The depth is --layers, else the checkpoint's training depth, else 2.
     """
     item_emb = _load_rows(args.embeddings, split.maps.item_ids)
     params, meta = None, None
     if args.checkpoint:
         params, _, meta = load_checkpoint(args.checkpoint)
-    layers = _layers(args.layers, meta)
-    return (*model_outputs(params, split.train, item_emb, layers), layers)
+    layers = args.layers
+    if layers is None:
+        layers = int((meta or {}).get("train_config", {}).get("n_layers", 2))
+    return params, item_emb, layers
 
 
 def _load_corpus(dataset_paths: list[str],
@@ -220,7 +206,7 @@ def cmd_ingest(args) -> int:
 def cmd_embed(args) -> int:
     out_path = Path(args.out)
     _claim_manifest(out_path.parent, "embed")
-    file_cfg = _load_config_file(args.config)
+    file_cfg = read_json_object(args.config) if args.config is not None else {}
     split = load_split(args.dataset)
     resolved: dict = {"dataset": str(args.dataset), "out": str(out_path)}
     if args.mock:
@@ -295,7 +281,7 @@ def _run_one_training(corpus: MergedCorpus, item_emb: np.ndarray, cfg: TrainConf
 
 def cmd_train(args) -> int:
     out = Path(args.out)
-    file_cfg = _load_config_file(args.config)
+    file_cfg = read_json_object(args.config) if args.config is not None else {}
     cfg = _train_config(args, file_cfg)
     variants = [(label, variant_cfg, out / label.replace("/", "_"))
                 for label, variant_cfg in ablation_variants(cfg)] if args.ablation else []
@@ -363,11 +349,10 @@ def cmd_evaluate(args) -> int:
     elif args.user_emb:
         user_out = _load_rows(args.user_emb, split.maps.user_ids)
         item_out = _load_rows(args.item_emb, split.maps.item_ids)
-        report = evaluate(split, user_out, item_out, k=k, part=args.part, model="textgcn")
+        report = evaluate(split, user_out, item_out, k=k, part=args.part)
     else:
-        user_out, item_out, layers = _model_tables(split, args)
-        report = evaluate(split, user_out, item_out, k=k, part=args.part,
-                          model="textgcn-mlp-zero-shot" if args.checkpoint else "textgcn")
+        params, item_emb, layers = _load_model(split, args)
+        report = apply_zero_shot(params, split, item_emb, layers, k=k, part=args.part)
     line = report.to_json()
     print(line)
     if args.out:
@@ -388,7 +373,7 @@ def _quantiles(text: str) -> list[float]:
 
 
 def cmd_tune(args) -> int:
-    file_cfg = _load_config_file(args.config)
+    file_cfg = read_json_object(args.config) if args.config is not None else {}
     cfg = _train_config(args, file_cfg)
     # sweep defaults come from the resolved run config, so flags like
     # --out-dim set the baseline for parameters not currently being swept
@@ -425,7 +410,8 @@ def cmd_recommend(args) -> int:
     if args.out:
         _claim_manifest(Path(args.out).parent, "recommend")
     split = load_split(args.dataset)
-    user_out, item_out, layers = _model_tables(split, args)
+    params, item_emb, layers = _load_model(split, args)
+    user_out, item_out = model_outputs(params, split.train, item_emb, layers)
     lines = []
     for ext in args.users.split(","):
         ext = ext.strip()

@@ -92,7 +92,8 @@ def load_matrix(path: str | Path) -> np.ndarray:
         if os.fstat(fh.fileno()).st_size < 16 + n_rows * dim * 4:
             raise DataError(f"{path}: truncated embedding file")
         matrix = np.empty((n_rows, dim), dtype="<f4")
-        if fh.readinto(memoryview(matrix).cast("B")) < matrix.nbytes:
+        # a zero-size array has no byte view, and nothing to read
+        if matrix.size and fh.readinto(memoryview(matrix).cast("B")) < matrix.nbytes:
             raise DataError(f"{path}: truncated embedding file")
     if not np.isfinite(matrix).all():
         raise DataError(f"{path}: non-finite value in embedding file")

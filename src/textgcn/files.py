@@ -1,10 +1,13 @@
-"""The one way a file reaches disk: a temp file beside it, renamed over it."""
+"""The one file writer (a temp file beside the target, renamed over it) and JSON reader."""
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from typing import IO, Iterator
+
+from .errors import DataError
 
 
 @contextmanager
@@ -26,3 +29,15 @@ def write_atomic(path: str | os.PathLike, mode: str = "w") -> Iterator[IO]:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def read_json_object(path: str | os.PathLike) -> dict:
+    """The JSON object in ``path``; ``DataError`` naming the file for anything else."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as err:   # invalid JSON, or bytes that are not UTF-8
+        raise DataError(f"{path}: not valid JSON ({err})") from None
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: not a JSON object")
+    return raw

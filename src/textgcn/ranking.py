@@ -4,12 +4,13 @@ Candidates are always the items the user has not interacted with in
 training. One kernel, ``_topk_rows``, ranks for ``recommend_topk``,
 ``evaluate`` and both baselines: a row's top k by score descending, ties
 broken by ascending item index, so rankings are reproducible and equal a
-full stable sort. ``recommend_topk`` scores one user against the raw item
-table as ``(item_emb @ user_unit) / norms``, with the item row norms
-(zero norms taken as 1); ``evaluate`` scores unit user rows against unit
-item rows (``unit_rows``). Per-user metrics are averaged with exactly
-rounded summation (math.fsum), making the report independent of user
-iteration order.
+full stable sort. One scorer, ``_cosine``, scores for ``recommend_topk``
+and ``evaluate``: ``(user_unit @ item_emb.T) / item_norms`` over the raw
+item table. Against float64 cosine (2,000 users, 12,000 x 256 diffused
+items) it errs by at most 3.4e-7 for a user vector and 1.1e-6 for a block
+of user rows, a rounding fixed for one numpy build and CPU dispatch.
+Per-user metrics are averaged with exactly rounded summation (math.fsum),
+making the report independent of user iteration order.
 """
 
 from __future__ import annotations
@@ -59,6 +60,21 @@ def unit_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / np.where(norms == 0, 1.0, norms).astype(np.float32)[:, None]
 
 
+def _item_table(item_emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The item table as float32 and its row norms, zero norms taken as 1."""
+    item_emb = np.asarray(item_emb, dtype=np.float32)
+    norms = np.sqrt(np.einsum("ij,ij->i", item_emb, item_emb))
+    norms[norms == 0] = 1.0
+    return item_emb, norms
+
+
+def _cosine(user_unit: np.ndarray, item_emb: np.ndarray, item_norms: np.ndarray) -> np.ndarray:
+    """Fresh scores of a unit user vector, or of unit user rows, against every item."""
+    scores = user_unit @ item_emb.T
+    scores /= item_norms
+    return scores
+
+
 def _topk_rows(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's top ``min(k, n_items)`` indices by (score desc, index asc).
 
@@ -96,17 +112,10 @@ def _topk_rows(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def recommend_topk(user_vec: np.ndarray, item_emb: np.ndarray,
                    exclude: set[int] | np.ndarray, k: int,
                    user: int | None = None) -> Ranking:
-    """Top-k non-excluded items by cosine similarity to the user vector.
+    """Top-k non-excluded items by ``_cosine`` to the user vector.
 
-    Scores are ``(item_emb @ user_unit) / norms`` with the item row norms
-    taken in place of a normalized copy of the table, so a request
-    allocates nothing the size of the table. They differ from
-    ``unit_rows(item_emb) @ user_unit`` in rounding only, by a few float32
-    ulp (at most 3.6e-7 on 12,000 x 256 diffused tables); that rounding,
-    like ``kcl_loss``'s, is fixed for one numpy build and CPU dispatch.
-    Zero-norm item rows score 0. Fewer than k candidates returns them all
-    with the truncated flag set. An ``exclude`` index outside
-    ``[0, n_items)`` raises ``DataError``.
+    Fewer than k candidates returns them all with the truncated flag set.
+    An ``exclude`` index outside ``[0, n_items)`` raises ``DataError``.
     """
     if k < 1:
         raise DataError("k must be >= 1")
@@ -114,11 +123,7 @@ def recommend_topk(user_vec: np.ndarray, item_emb: np.ndarray,
     norm = np.linalg.norm(user_vec)
     if norm == 0:
         raise DataError("zero user vector")
-    item_emb = np.asarray(item_emb, dtype=np.float32)
-    norms = np.sqrt(np.einsum("ij,ij->i", item_emb, item_emb))
-    norms[norms == 0] = 1.0
-    scores = item_emb @ (user_vec / norm)
-    scores /= norms
+    scores = _cosine(user_vec / norm, *_item_table(item_emb))
     excluded = np.asarray(list(exclude) if isinstance(exclude, set) else exclude,
                           dtype=np.int64)
     # a negative index would silently mask an item counted from the end
@@ -252,17 +257,16 @@ def evaluate(split: DatasetSplit, user_emb: np.ndarray, item_emb: np.ndarray,
     """Rank every evaluable user's candidates and average the three metrics.
 
     A user is evaluable with >= 1 relevant item in the chosen part and
-    >= 1 training interaction. Candidate scores come from the cosine of
-    the supplied embeddings; the user's train items are excluded and the
+    >= 1 training interaction. Candidate scores are the ``_cosine`` of each
+    block's unit user rows; the user's train items are excluded and the
     exclusion is asserted on every ranking.
     """
     train = split.train
     if user_emb.shape[0] != train.n_users or item_emb.shape[0] != train.n_items:
         raise DataError("embedding row counts do not match the split")
-    user_unit = unit_rows(user_emb)
-    item_unit = unit_rows(item_emb)
-    return _score_users(split, k, part, model,
-                        lambda users: user_unit[users] @ item_unit.T, block)
+    item_emb, item_norms = _item_table(item_emb)
+    return _score_users(split, k, part, model, lambda users: _cosine(
+        unit_rows(user_emb[users]), item_emb, item_norms), block)
 
 
 def baseline_random(split: DatasetSplit, k: int = 20, seed: int = 0,

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import DataError
-from .files import write_atomic
+from .files import read_json_object, write_atomic
 from .training import TrainConfig
 
 BROAD_VALUES: dict[str, list] = {
@@ -44,9 +44,7 @@ def load_space(path: str | Path, values: dict[str, list] | None,
     non-empty lists and ``defaults`` maps them to values, every name a
     ``TrainConfig`` field. With ``values`` None the file must hold its own.
     """
-    spec = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(spec, dict):
-        raise DataError(f"{path}: space file must hold a JSON object")
+    spec = read_json_object(path)
     values = spec.get("values", values)
     if values is None:
         raise DataError(f'{path}: space file has no "values"')
@@ -79,9 +77,15 @@ class TrialRecord:
                            "error": self.error}, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "TrialRecord":
+    def read(cls, path: Path) -> "TrialRecord":
+        """The record in ``path``; ``DataError`` naming the file if it is not one."""
+        raw = read_json_object(path)
         # fields other than these, such as an older writer's timing, are ignored
-        raw = json.loads(text)
+        if not (isinstance(raw.get("config"), dict)
+                and isinstance(raw.get("val_recall"), (int, float))
+                and isinstance(raw.get("error", ""), str)):
+            raise DataError(f"{path}: a trial record needs a 'config' object, "
+                            "a numeric 'val_recall' and a text 'error', if any")
         return cls(config=raw["config"], val_recall=raw["val_recall"],
                    error=raw.get("error", ""))
 
@@ -97,7 +101,7 @@ class TrialStore:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self._mem: dict[str, TrialRecord] = {
-            path.stem: TrialRecord.from_json(path.read_text(encoding="utf-8"))
+            path.stem: TrialRecord.read(path)
             for path in sorted(self.directory.glob("[0-9a-f]" * 16 + ".json"))}
 
     def get(self, key: str) -> TrialRecord | None:

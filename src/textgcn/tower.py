@@ -23,7 +23,7 @@ import numpy as np
 
 from . import embeddings
 from .errors import DataError
-from .files import write_atomic
+from .files import read_json_object, write_atomic
 
 LEAKY_SLOPE = 0.01
 CHECKPOINT_MANIFEST = "manifest.json"
@@ -258,10 +258,7 @@ def load_checkpoint(
 ) -> tuple[TwoTowerParams, AdamState | None, dict]:
     """Restore a checkpoint; one-tower checkpoints alias both sides again."""
     directory = Path(directory)
-    try:
-        manifest = json.loads((directory / CHECKPOINT_MANIFEST).read_text(encoding="utf-8"))
-    except ValueError as err:
-        raise DataError(f"{directory / CHECKPOINT_MANIFEST}: not valid JSON ({err})") from None
+    manifest = read_json_object(directory / CHECKPOINT_MANIFEST)
     _require(manifest, ("format_version", "tensors", "d_in", "mode", "adam", "meta"),
              "checkpoint manifest")
     if manifest["format_version"] != 1:

@@ -433,6 +433,42 @@ def test_tune_grid_without_values_exit2(dataset_dir, mock_embeddings, tmp_path, 
     assert not records.exists()
 
 
+@pytest.mark.parametrize("command", ["tune", "train", "embed"])
+@pytest.mark.parametrize("content", ["{bad", "[1, 2]"], ids=["not-json", "not-an-object"])
+def test_malformed_json_file_exit2(command, content, dataset_dir, mock_embeddings,
+                                   tmp_path, capsys):
+    # a --space or --config file that is not a JSON object is an input error
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    out = tmp_path / "out"
+    data = ["--dataset", str(dataset_dir)]
+    argv = {"tune": ["tune", *data, "--embeddings", str(mock_embeddings), "--stage", "broad",
+                     "--space", str(bad), "--records", str(out)],
+            "train": ["train", *data, "--embeddings", str(mock_embeddings),
+                      "--config", str(bad), "--out", str(out)],
+            "embed": ["embed", *data, "--mock", "--config", str(bad),
+                      "--out", str(out / "items.tge")]}[command]
+    assert main(argv) == 2
+    assert f"{bad}: not" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ("not json", "not valid JSON"),
+    ('{"recall": 0.1}', "a trial record needs"),
+], ids=["not-json", "no-config"])
+def test_tune_malformed_trial_record_exit2(content, message, dataset_dir, mock_embeddings,
+                                           tmp_path, capsys):
+    records = tmp_path / "records"
+    records.mkdir()
+    (records / "0123456789abcdef.json").write_text(content)
+    assert main(["tune", "--dataset", str(dataset_dir), "--embeddings", str(mock_embeddings),
+                 "--stage", "pos", "--quantiles", "0.5", "--records", str(records),
+                 "--max-epochs", "1", "--out-dim", "8", "--neg", "16", "--batch", "16"]) == 2
+    assert f"0123456789abcdef.json: {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in records.iterdir()) == ["0123456789abcdef.json"]
+
+
 @pytest.mark.parametrize("quantiles, message", [
     ("0.5,abc", "--quantiles must be comma-separated numbers"),
     ("1.5,-1", "--quantiles must lie in [0, 1]"),

@@ -25,6 +25,16 @@ def test_save_load_roundtrip(tmp_path, rng):
     assert load_ids(path) == [f"i{k}" for k in range(7)]
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (3, 4), (0, 0)])
+def test_save_load_roundtrip_of_shape(tmp_path, rng, shape):
+    # a zero-row file, such as an empty catalog's, reads back like any other
+    m = rng.standard_normal(shape).astype(np.float32)
+    path = tmp_path / "m.tge"
+    save_matrix(m, path)
+    again = load_matrix(path)
+    assert again.shape == shape and again.tobytes() == m.tobytes()
+
+
 def test_load_wrong_magic(tmp_path):
     path = tmp_path / "x.tge"
     path.write_bytes(b"NOPE" + b"\x00" * 20)

@@ -28,10 +28,10 @@ def brute_force_metrics(topk, relevant, k):
 
 
 def dot_over_norms(items, u):
-    """recommend_topk's documented scores: (items @ u_unit) / row norms, 0 norms as 1."""
+    """recommend_topk's documented scores: (u_unit @ items.T) / row norms, 0 norms as 1."""
     norms = np.sqrt(np.einsum("ij,ij->i", items, items))
     norms[norms == 0] = 1.0
-    return (items @ (u / np.linalg.norm(u))) / norms
+    return ((u / np.linalg.norm(u)) @ items.T) / norms
 
 
 class TestRecommendTopk:
@@ -219,6 +219,22 @@ class TestEvaluate:
         assert abs(report.recall - want[0]) < 1e-9
         assert abs(report.ndcg - want[1]) < 1e-9
         assert abs(report.hr - want[2]) < 1e-9
+
+    def test_evaluate_allocates_no_table_copy(self, rng):
+        # many users, a moderate catalog, a wide dimension: a normalized copy
+        # of the user table alone would exceed the bound
+        n_users, n_items = 4000, 500
+        split = make_split([[u % n_items] for u in range(n_users)], [[]] * n_users,
+                           [[(u + 1) % n_items] for u in range(n_users)], n_items)
+        user_emb = rng.standard_normal((n_users, 1024)).astype(np.float32)
+        item_emb = rng.standard_normal((n_items, 1024)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            evaluate(split, user_emb, item_emb, k=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < user_emb.nbytes / 2
 
     def test_excludes_users_without_history_or_relevance(self):
         split = make_split(train_rows=[[0], []], val_rows=[[], []],

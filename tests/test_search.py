@@ -169,10 +169,10 @@ def test_pos_quantile_default_list(store):
     assert best["pos_quantile"] == 0.25   # the first maximum wins
 
 
-def test_trial_record_roundtrip_and_hash_stability():
+def test_trial_record_roundtrip_and_hash_stability(tmp_path):
     record = TrialRecord(config={"lr": 5e-4, "n_layers": 2}, val_recall=0.25)
-    again = TrialRecord.from_json(record.to_json())
-    assert again == record
+    (tmp_path / "r.json").write_text(record.to_json())
+    assert TrialRecord.read(tmp_path / "r.json") == record
     assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
     assert config_hash({"a": 1}) != config_hash({"a": 2})
 
@@ -210,6 +210,21 @@ def test_store_reads_only_hash_named_records(tmp_path):
     (tmp_path / "rec" / "pop.json").write_text('{"recall": 0.1}\n')
     (tmp_path / "rec" / "manifest.json").write_text('{"command": "evaluate"}\n')
     assert TrialStore(tmp_path / "rec").records() == [record]
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"not json", "not valid JSON"),
+    (b"\xff\xfe{}", "not valid JSON"),
+    (b"[1]", "not a JSON object"),
+    (b'{"recall": 0.1}', "a trial record needs"),
+    (b'{"config": {"lr": 1.0}, "val_recall": "high"}', "a trial record needs"),
+    (b'{"config": {"lr": 1.0}, "val_recall": 0.1, "error": 5}', "a trial record needs"),
+], ids=["not-json", "not-utf8", "not-an-object", "no-config", "text-recall", "number-error"])
+def test_store_rejects_a_malformed_record(tmp_path, content, message):
+    (tmp_path / "rec").mkdir()
+    (tmp_path / "rec" / "0123456789abcdef.json").write_bytes(content)
+    with pytest.raises(DataError, match=f"0123456789abcdef.json: {message}"):
+        TrialStore(tmp_path / "rec")
 
 
 def test_summary_tsv_sorted():
