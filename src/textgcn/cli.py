@@ -95,6 +95,18 @@ def _write_output(args, command: str, text: str, config: dict) -> None:
     _write_manifest(out.parent, command, dict(config, out=str(out)), inputs)
 
 
+def _read_config(path: str | None, settings) -> dict:
+    """The --config file's object ({} without one); a key outside ``settings`` is refused."""
+    if path is None:
+        return {}
+    file_cfg = read_json_object(path)
+    unknown = sorted(set(file_cfg) - set(settings))
+    if unknown:
+        raise DataError(f"{path}: not a setting of this command: {', '.join(unknown)} "
+                        f"(expected some of {', '.join(sorted(settings))})")
+    return file_cfg
+
+
 def _resolve(flag, file_cfg: dict, key: str, env: str | None = None, default=None):
     """Precedence: command-line flag > environment > config file > default."""
     if flag is not None:
@@ -109,7 +121,6 @@ def _resolve(flag, file_cfg: dict, key: str, env: str | None = None, default=Non
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lr", type=float, default=None)
     parser.add_argument("--out-dim", type=int, default=None, dest="d_out")
-    parser.add_argument("--hidden-dim", type=int, default=None, dest="d_hidden")
     parser.add_argument("--layers", type=int, default=None, dest="n_layers")
     parser.add_argument("--neg", type=int, default=None, dest="neg_samples")
     parser.add_argument("--pos", type=int, default=None, dest="pos_k")
@@ -120,16 +131,16 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-epochs", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--tower", choices=tuple(TOWER_PREFIXES), default=None, dest="tower_mode")
-    parser.add_argument("--eval-every", type=int, default=None)
 
 
-def _train_config(args, file_cfg: dict) -> TrainConfig:
+def _train_config(args) -> TrainConfig:
+    names = [f.name for f in fields(TrainConfig)]
+    file_cfg = _read_config(args.config, names)
     overrides = {}
-    for f in fields(TrainConfig):
-        flag = getattr(args, f.name, None)
-        value = _resolve(flag, file_cfg, f.name)
+    for name in names:
+        value = _resolve(getattr(args, name, None), file_cfg, name)
         if value is not None:
-            overrides[f.name] = value
+            overrides[name] = value
     return replace(TrainConfig(), **overrides)
 
 
@@ -176,6 +187,8 @@ def _load_corpus(dataset_paths: list[str],
 
 def cmd_ingest(args) -> int:
     if args.synthetic:
+        if args.dataset:
+            raise DataError("ingest --synthetic does not read --dataset")
         if not args.out:
             raise DataError("--synthetic requires --out")
         out = Path(args.out)
@@ -188,6 +201,8 @@ def cmd_ingest(args) -> int:
     else:
         if not args.dataset:
             raise DataError("ingest needs --dataset or --synthetic")
+        if args.out:
+            raise DataError("ingest --dataset writes nothing: it does not read --out")
         source = Path(args.dataset)
     split = load_split(source)
     train_m = split.train
@@ -204,9 +219,14 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    ignored = ("endpoint", "model", "cache") if args.mock else ("dim", "seed")
+    for name in ignored:
+        if getattr(args, name) is not None:
+            raise DataError(f"embed {'with' if args.mock else 'without'} --mock "
+                            f"does not read --{name}")
+    file_cfg = _read_config(args.config, ("dim", "seed", "endpoint", "model"))
     out_path = Path(args.out)
     _claim_manifest(out_path.parent, "embed")
-    file_cfg = read_json_object(args.config) if args.config is not None else {}
     split = load_split(args.dataset)
     resolved: dict = {"dataset": str(args.dataset), "out": str(out_path)}
     if args.mock:
@@ -265,7 +285,7 @@ def cmd_diffuse(args) -> int:
 def _run_one_training(corpus: MergedCorpus, item_emb: np.ndarray, cfg: TrainConfig,
                       out: Path, inputs):
     params, log, diff = train(corpus, item_emb, cfg)
-    test_recall = head_recall(params, corpus, diff, cfg.eval_k, "test")
+    test_recall = head_recall(params, corpus, diff, "test")
     # the checkpoint manifest doubles as the run manifest
     meta = {"command": "train", "train_config": asdict(cfg),
             "sources": [part.name for part in corpus.parts],
@@ -281,8 +301,7 @@ def _run_one_training(corpus: MergedCorpus, item_emb: np.ndarray, cfg: TrainConf
 
 def cmd_train(args) -> int:
     out = Path(args.out)
-    file_cfg = read_json_object(args.config) if args.config is not None else {}
-    cfg = _train_config(args, file_cfg)
+    cfg = _train_config(args)
     variants = [(label, variant_cfg, out / label.replace("/", "_"))
                 for label, variant_cfg in ablation_variants(cfg)] if args.ablation else []
     for directory in [out] + [vdir for _, _, vdir in variants]:
@@ -373,8 +392,7 @@ def _quantiles(text: str) -> list[float]:
 
 
 def cmd_tune(args) -> int:
-    file_cfg = read_json_object(args.config) if args.config is not None else {}
-    cfg = _train_config(args, file_cfg)
+    cfg = _train_config(args)
     # sweep defaults come from the resolved run config, so flags like
     # --out-dim set the baseline for parameters not currently being swept
     values = search.BROAD_VALUES

@@ -239,7 +239,7 @@ def read_titles(path: str | Path, maps: IdMaps) -> dict[int, str]:
     return titles
 
 
-def load_split(directory: str | Path, name: str | None = None) -> DatasetSplit:
+def load_split(directory: str | Path) -> DatasetSplit:
     """Load train/val/test interaction files plus titles from a directory.
 
     Enforces the split invariants: (u, i) pairs must be disjoint across
@@ -283,7 +283,7 @@ def load_split(directory: str | Path, name: str | None = None) -> DatasetSplit:
     warm = train.user_degrees > 0
     val_kept, test_kept = (keys[warm[keys // n_items]] for keys in (val_keys, test_keys))
     return DatasetSplit(
-        name=name or directory.name,
+        name=directory.name,
         maps=maps,
         train=train,
         val=InteractionMatrix._from_keys(n_users, n_items, val_kept),

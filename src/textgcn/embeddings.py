@@ -207,13 +207,12 @@ def fetch_embeddings(
     the batches not yet started, keeps those still running that return,
     then raises the first failure.
     ``post`` is the transport and exists mainly so tests can inject a fake
-    endpoint.
+    endpoint; without it, ``api_key`` is sent as a bearer token when given.
+    No environment variable is read here: the CLI reads ``API_KEY_ENV``.
     """
-    if batch_size < 1:
-        raise DataError("batch_size must be >= 1")
+    if batch_size < 1 or concurrency < 1:
+        raise DataError("batch_size and concurrency must be >= 1")
     if post is None:
-        if api_key is None:
-            api_key = os.environ.get(API_KEY_ENV)
         post = lambda url, payload: _post_json(url, payload, api_key)
 
     keys = [cache_key(model, t) for t in catalog.titles]

@@ -235,6 +235,8 @@ def _score_users(split: DatasetSplit, k: int, part: str, model: str,
     their train items are masked to -inf. Ranking runs on row slices of
     at most ``_SELECT_CELLS`` scores, which bounds its temporaries.
     """
+    if k < 1:
+        raise DataError("k must be >= 1")
     target = _part_matrix(split, part)
     train = split.train
     eligible = np.flatnonzero((target.user_degrees > 0) & (train.user_degrees > 0))

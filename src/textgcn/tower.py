@@ -1,7 +1,7 @@
 """Trainable projection head: per-side MLPs, manual backprop, Adam, checkpoints.
 
 Each MLP is two linear layers with a LeakyReLU (slope 0.01) in between;
-the hidden width defaults to half the input width. The head runs either
+the hidden width is half the input width. The head runs either
 with separate user/item networks ("two" mode) or a single shared network
 ("one" mode) where both sides literally alias the same tensors, so
 gradient contributions from the two branches accumulate by summation.
@@ -69,12 +69,9 @@ class MlpParams:
         return {name: getattr(self, name) for name in TENSOR_NAMES}
 
 
-def init_mlp(d_in: int, d_out: int, d_hidden: int | None = None,
-             rng: np.random.Generator | None = None) -> MlpParams:
+def init_mlp(d_in: int, d_out: int, rng: np.random.Generator) -> MlpParams:
     """Kaiming-uniform fan-in init (LeakyReLU gain); torch-style uniform biases."""
-    if d_hidden is None:
-        d_hidden = max(1, d_in // 2)
-    rng = rng if rng is not None else np.random.default_rng(0)
+    d_hidden = max(1, d_in // 2)
     gain = math.sqrt(2.0 / (1.0 + LEAKY_SLOPE ** 2))
 
     def weight(rows: int, cols: int) -> np.ndarray:
@@ -120,10 +117,9 @@ class TwoTowerParams:
         return cls(*(mlps[prefix] for prefix in TOWER_PREFIXES[mode]))
 
     @classmethod
-    def init(cls, d_in: int, d_out: int, d_hidden: int | None = None,
-             mode: str = "two", seed: int = 0) -> "TwoTowerParams":
+    def init(cls, d_in: int, d_out: int, mode: str = "two", seed: int = 0) -> "TwoTowerParams":
         rng = np.random.default_rng(seed)
-        return cls.build(mode, lambda _: init_mlp(d_in, d_out, d_hidden, rng))
+        return cls.build(mode, lambda _: init_mlp(d_in, d_out, rng))
 
     def named_tensors(self) -> dict[str, np.ndarray]:
         return {f"{prefix}.{name}": tensor for prefix, mlp in self.sides

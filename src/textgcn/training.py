@@ -2,9 +2,9 @@
 
 Diffusion embeddings are computed once on the train graph and never receive
 gradients; only the user/item MLPs learn. Each epoch shuffles users
-(seeded), walks contrastive batches, then scores validation recall@k with
-the current towers. Early stopping keeps the weights from the best
-validation epoch, not the last one.
+(seeded), walks contrastive batches, then scores validation
+recall@``EVAL_K`` with the current towers. Early stopping keeps the weights
+from the best validation epoch, not the last one.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .errors import DataError
 from .ranking import MetricsReport, evaluate
 from .tower import TOWER_PREFIXES, AdamState, TwoTowerParams, adam_step
 
+EVAL_K = 20   # the k of the recall that selects the epoch and of train's test recall
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -29,7 +31,6 @@ class TrainConfig:
 
     lr: float = 5e-4
     d_out: int = 64
-    d_hidden: int | None = None      # None -> half the input dim
     n_layers: int = 2
     neg_samples: int = 256
     pos_k: int | None = None         # fixed positive count, overrides quantile
@@ -40,16 +41,12 @@ class TrainConfig:
     max_epochs: int = 500
     seed: int = 0
     tower_mode: str = "two"
-    eval_k: int = 20
-    eval_every: int = 1
 
     def __post_init__(self):
         if self.patience < 1:
             raise DataError("patience must be >= 1")
         if self.tower_mode not in TOWER_PREFIXES:
             raise DataError(f"unknown tower mode {self.tower_mode!r}")
-        if self.eval_every < 1:
-            raise DataError("eval_every must be >= 1")
         if ((self.pos_k is not None and self.pos_k < 1) or self.neg_samples < 1
                 or self.batch_users < 1):
             raise DataError("pos_k, neg_j and batch_users must be >= 1")
@@ -61,7 +58,7 @@ class TrainConfig:
 class EpochRecord:
     epoch: int
     loss: float
-    val_recall: float | None
+    val_recall: float
 
 
 @dataclass
@@ -124,8 +121,7 @@ def _run_loop(train, diff: DiffusionOutput, cfg: TrainConfig,
               eval_fn) -> tuple[TwoTowerParams, TrainLog]:
     """Shared epoch/early-stop driver; eval_fn(params) -> validation recall."""
     d_in = diff.item_final.shape[1]
-    params = TwoTowerParams.init(d_in, cfg.d_out, cfg.d_hidden,
-                                 mode=cfg.tower_mode, seed=cfg.seed)
+    params = TwoTowerParams.init(d_in, cfg.d_out, mode=cfg.tower_mode, seed=cfg.seed)
     adam = AdamState(params.named_tensors(), lr=cfg.lr)
     pos_k = resolve_pos_k(train, cfg)
     users = np.flatnonzero(train.user_degrees > 0)
@@ -137,34 +133,33 @@ def _run_loop(train, diff: DiffusionOutput, cfg: TrainConfig,
     stale = 0
     for epoch in range(1, cfg.max_epochs + 1):
         loss = _train_epoch(train, diff, params, adam, cfg, pos_k, users, epoch)
-        val_recall = eval_fn(params) if epoch % cfg.eval_every == 0 else None
+        val_recall = eval_fn(params)
         log.epochs.append(EpochRecord(epoch=epoch, loss=loss, val_recall=val_recall))
-        if val_recall is not None:
-            if val_recall > log.best_val_recall:
-                log.best_val_recall = val_recall
-                log.best_epoch = epoch
-                best_params = params.copy()
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    log.stop_reason = "patience"
-                    break
+        if val_recall > log.best_val_recall:
+            log.best_val_recall = val_recall
+            log.best_epoch = epoch
+            best_params = params.copy()
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                log.stop_reason = "patience"
+                break
     if not log.stop_reason:
         log.stop_reason = "max_epochs"
     return best_params, log
 
 
 def head_recall(params: TwoTowerParams, corpus: MergedCorpus, diff: DiffusionOutput,
-                k: int, part: str) -> float:
-    """Unweighted mean over the corpus's parts of the towers' recall@k on ``part``."""
+                part: str) -> float:
+    """Unweighted mean over the corpus's parts of the towers' recall@EVAL_K on ``part``."""
     user_out, item_out = project(params, diff.user_final, diff.item_final)
     recalls = []
     for p, split in enumerate(corpus.parts):
         u_lo, u_hi = corpus.part_user_range(p)
         i_lo, i_hi = corpus.part_item_range(p)
         recalls.append(evaluate(split, user_out[u_lo:u_hi], item_out[i_lo:i_hi],
-                                k=k, part=part, model="textgcn-mlp").recall)
+                                k=EVAL_K, part=part, model="textgcn-mlp").recall)
     return float(np.mean(recalls))
 
 
@@ -180,7 +175,7 @@ def train(data: DatasetSplit | MergedCorpus, item_emb: np.ndarray,
     corpus = merge_corpora([data]) if isinstance(data, DatasetSplit) else data
     diff = diffuse(corpus.train, item_emb, cfg.n_layers)
     params, log = _run_loop(corpus.train, diff, cfg,
-                            lambda p: head_recall(p, corpus, diff, cfg.eval_k, "val"))
+                            lambda p: head_recall(p, corpus, diff, "val"))
     return params, log, diff
 
 

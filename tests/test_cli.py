@@ -119,6 +119,7 @@ def test_embed_cache_rerun_zero_requests(dataset_dir, tmp_path, capsys, monkeypa
         assert "requests: 0" in second
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_diffuse_l0_item_passthrough(dataset_dir, mock_embeddings, tmp_path):
@@ -365,6 +366,114 @@ def test_bad_head_config_exit2_before_loading(flag, message, tmp_path, capsys):
     assert main(["train", "--dataset", str(tmp_path / "absent"), "--embeddings",
                  str(tmp_path / "absent.tge"), "--out", str(tmp_path / "o"), *flag]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "tune"])
+@pytest.mark.parametrize("flag", ["--hidden-dim", "--eval-every"])
+def test_removed_head_flags_exit2(command, flag, tmp_path):
+    # the hidden width is half the input width; validation runs every epoch
+    argv = [command, "--dataset", str(tmp_path / "absent"), "--embeddings",
+            str(tmp_path / "absent.tge"), flag, "4"]
+    argv += ["--out", str(tmp_path / "o")] if command == "train" else [
+        "--stage", "broad", "--records", str(tmp_path / "r")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["train", "tune"])
+@pytest.mark.parametrize("key", ["neg_sampels", "d_hidden", "eval_k", "eval_every"])
+def test_config_key_outside_train_config_exit2_before_loading(command, key, tmp_path,
+                                                              capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"lr": 0.01, key: 4}))
+    argv = [command, "--dataset", str(tmp_path / "absent"), "--embeddings",
+            str(tmp_path / "absent.tge"), "--config", str(config)]
+    argv += ["--out", str(tmp_path / "o")] if command == "train" else [
+        "--stage", "broad", "--records", str(tmp_path / "r")]
+    assert main(argv) == 2
+    assert f"not a setting of this command: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("content", [{"dims": 8}, {"dim": 8, "batch_size": 4}])
+def test_embed_config_key_outside_its_settings_exit2(content, dataset_dir, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(content))
+    out = tmp_path / "e" / "items.tge"
+    assert main(["embed", "--dataset", str(dataset_dir), "--out", str(out), "--mock",
+                 "--config", str(config)]) == 2
+    assert "not a setting of this command" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_embed_config_file_settings_take_effect(dataset_dir, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"dim": 8, "seed": 5, "endpoint": "http://127.0.0.1:1/v1",
+                                  "model": "m"}))
+    out = tmp_path / "items.tge"
+    assert main(["embed", "--dataset", str(dataset_dir), "--out", str(out), "--mock",
+                 "--config", str(config)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert (manifest["config"]["dim"], manifest["config"]["seed"]) == (8, 5)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mock", "--endpoint", "http://127.0.0.1:1/v1"],
+     "embed with --mock does not read --endpoint"),
+    (["--mock", "--model", "m"], "embed with --mock does not read --model"),
+    (["--mock", "--cache", "CACHE"], "embed with --mock does not read --cache"),
+    (["--endpoint", "http://127.0.0.1:1/v1", "--dim", "8"],
+     "embed without --mock does not read --dim"),
+    (["--endpoint", "http://127.0.0.1:1/v1", "--seed", "3"],
+     "embed without --mock does not read --seed"),
+], ids=["mock-endpoint", "mock-model", "mock-cache", "endpoint-dim", "endpoint-seed"])
+def test_embed_flag_the_mode_does_not_read_exit2(argv, message, tmp_path, capsys,
+                                                 monkeypatch):
+    # nothing exists: the flag check has to come before anything loads
+    monkeypatch.setenv("TEXTGCN_EMBED_API_KEY", "test-key")
+    cache = tmp_path / "cache"
+    argv = [str(cache) if a == "CACHE" else a for a in argv]
+    out = tmp_path / "e" / "items.tge"
+    assert main(["embed", "--dataset", str(tmp_path / "absent"), "--out", str(out),
+                 *argv]) == 2
+    assert message in capsys.readouterr().err
+    assert not cache.exists() and not out.parent.exists()
+
+
+@pytest.mark.parametrize("concurrency", ["0", "-3"])
+def test_embed_concurrency_below_one_exit2(concurrency, dataset_dir, tmp_path, capsys,
+                                           monkeypatch):
+    monkeypatch.setenv("TEXTGCN_EMBED_API_KEY", "test-key")
+    out = tmp_path / "items.tge"
+    assert main(["embed", "--dataset", str(dataset_dir), "--out", str(out),
+                 "--endpoint", "http://127.0.0.1:1/v1", "--concurrency", concurrency]) == 2
+    assert "concurrency must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("synthetic, message", [
+    ([], "ingest --dataset writes nothing: it does not read --out"),
+    (["--synthetic", SYNTH], "ingest --synthetic does not read --dataset"),
+], ids=["dataset-out", "synthetic-dataset"])
+def test_ingest_flag_the_mode_does_not_read_exit2(synthetic, message, dataset_dir, tmp_path,
+                                                  capsys):
+    out = tmp_path / "new"
+    assert main(["ingest", *synthetic, "--dataset", str(dataset_dir), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+@pytest.mark.parametrize("model", ["textgcn", "pop", "random"])
+def test_evaluate_k_below_one_exit2(model, k, dataset_dir, mock_embeddings, tmp_path,
+                                    capsys):
+    files = ["--embeddings", str(mock_embeddings)] if model == "textgcn" else []
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--dataset", str(dataset_dir), "--model", model, *files,
+                 "--k", k, "--out", str(out)]) == 2
+    assert "k must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tune_pos_stage(dataset_dir, mock_embeddings, tmp_path, capsys):

@@ -166,6 +166,15 @@ def test_fetch_duplicate_titles_single_request(tmp_path):
     assert np.array_equal(m[0], m[1])
 
 
+@pytest.mark.parametrize("setting", [{"concurrency": 0}, {"concurrency": -3},
+                                     {"batch_size": 0}])
+def test_fetch_rejects_a_setting_below_one(setting):
+    fake = FakeEndpoint()
+    with pytest.raises(DataError, match="batch_size and concurrency must be >= 1"):
+        fetch_embeddings(ItemCatalog(["a", "b", "c"]), "http://x", "m", post=fake, **setting)
+    assert fake.requests == []
+
+
 def test_fetch_mixed_dims_error():
     class MixedDims(FakeEndpoint):
         def __call__(self, url, payload):
@@ -346,8 +355,10 @@ def test_cache_is_content_addressed(tmp_path):
 class _Handler(http.server.BaseHTTPRequestHandler):
     status = 200
     retry_after: str | None = None
+    authorization: str | None = None   # the last request's header
 
     def do_POST(self):
+        type(self).authorization = self.headers.get("Authorization")
         n = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(n))
         if self.status != 200:
@@ -375,6 +386,7 @@ def http_endpoint():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/embeddings"
     server.shutdown()
+    server.server_close()
 
 
 def test_fetch_over_real_http(http_endpoint):
@@ -383,6 +395,15 @@ def test_fetch_over_real_http(http_endpoint):
     m = fetch_embeddings(catalog, http_endpoint, "m", api_key="k")
     assert m.shape == (3, 2)
     assert m[1].tolist() == [1.0, 1.0]
+
+
+def test_fetch_sends_only_the_key_it_is_given(http_endpoint, monkeypatch):
+    # the library reads no environment variable; the CLI passes the key in
+    monkeypatch.setenv("TEXTGCN_EMBED_API_KEY", "from-env")
+    fetch_embeddings(ItemCatalog(["one"]), http_endpoint, "m")
+    assert _Handler.authorization is None
+    fetch_embeddings(ItemCatalog(["one"]), http_endpoint, "m", api_key="k")
+    assert _Handler.authorization == "Bearer k"
 
 
 def test_fetch_http_error_surfaces_body(http_endpoint):

@@ -256,7 +256,7 @@ class TestCheckpoint:
 
 
 def test_init_shapes_and_hidden_default():
-    params = init_mlp(10, 3)
+    params = init_mlp(10, 3, np.random.default_rng(0))
     assert params.d_in == 10
     assert params.d_hidden == 5
     assert params.d_out == 3

@@ -10,7 +10,7 @@ from textgcn.errors import DataError
 from textgcn.tower import TwoTowerParams
 from textgcn.training import (TrainConfig, ablation_variants, apply_zero_shot, project,
                               train)
-from textgcn.training import _run_loop
+from textgcn.training import EVAL_K, _run_loop
 from textgcn.synthetic import SyntheticConfig, generate_clustered_split
 from textgcn.embeddings import mock_embed
 
@@ -140,7 +140,7 @@ class TestJoint:
 
         def eval_fn(params):   # plain in-domain selection on the split's own val recall
             user_out, item_out = project(params, diff.user_final, diff.item_final)
-            return evaluate(split, user_out, item_out, k=cfg.eval_k, part="val",
+            return evaluate(split, user_out, item_out, k=EVAL_K, part="val",
                             model="textgcn-mlp").recall
 
         a_params, a_log = _run_loop(split.train, diff, cfg, eval_fn)
