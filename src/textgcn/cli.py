@@ -219,11 +219,12 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    ignored = ("endpoint", "model", "cache") if args.mock else ("dim", "seed")
+    ignored = (("endpoint", "model", "batch_size", "cache", "concurrency") if args.mock
+               else ("dim", "seed"))
     for name in ignored:
         if getattr(args, name) is not None:
             raise DataError(f"embed {'with' if args.mock else 'without'} --mock "
-                            f"does not read --{name}")
+                            f"does not read --{name.replace('_', '-')}")
     file_cfg = _read_config(args.config, ("dim", "seed", "endpoint", "model"))
     out_path = Path(args.out)
     _claim_manifest(out_path.parent, "embed")
@@ -245,6 +246,7 @@ def cmd_embed(args) -> int:
             raise DataError(f"no API key in {embeddings.API_KEY_ENV}")
         model = _resolve(args.model, file_cfg, "model", default="text-embedding-3-large")
         cache = embeddings.VectorCache(args.cache) if args.cache else None
+        batch_size = embeddings.DEFAULT_BATCH_SIZE if args.batch_size is None else args.batch_size
         counter = {"requests": 0}
 
         def post(url: str, payload: dict) -> dict:
@@ -253,11 +255,11 @@ def cmd_embed(args) -> int:
 
         matrix = embeddings.fetch_embeddings(
             split.catalog, endpoint=endpoint, model=model,
-            batch_size=args.batch_size, cache=cache, post=post,
-            concurrency=args.concurrency)
+            batch_size=batch_size, cache=cache, post=post,
+            concurrency=1 if args.concurrency is None else args.concurrency)
         requests_made = counter["requests"]
         resolved.update({"mock": False, "model": model, "endpoint": endpoint,
-                         "batch_size": args.batch_size, "cache": args.cache})
+                         "batch_size": batch_size, "cache": args.cache})
     embeddings.save_matrix(matrix, out_path, ids=split.maps.item_ids)
     _write_manifest(out_path.parent, "embed", resolved, {"dataset": Path(args.dataset)})
     print(f"wrote {out_path} ({matrix.shape[0]} x {matrix.shape[1]}), "
@@ -471,9 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--endpoint", default=None)
-    p.add_argument("--batch-size", type=int, default=embeddings.DEFAULT_BATCH_SIZE)
+    p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--cache", default=None)
-    p.add_argument("--concurrency", type=int, default=1)
+    p.add_argument("--concurrency", type=int, default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_embed)
 

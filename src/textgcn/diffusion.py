@@ -74,7 +74,7 @@ def propagate(
 
 @dataclass
 class DiffusionOutput:
-    """Layer-averaged user/item embeddings."""
+    """Layer-averaged user/item embeddings, read-only (edit a ``.copy()``)."""
 
     user_final: np.ndarray
     item_final: np.ndarray
@@ -104,4 +104,7 @@ def diffuse(
         user_acc += user_l
         item_acc += item_l
     scale = np.float32(n_layers + 1)
-    return DiffusionOutput(user_final=user_acc / scale, item_final=item_acc / scale)
+    out = DiffusionOutput(user_final=user_acc / scale, item_final=item_acc / scale)
+    for table in (out.user_final, out.item_final):
+        table.setflags(write=False)
+    return out

@@ -88,8 +88,11 @@ def resolve_pos_k(train, cfg: TrainConfig) -> int:
 
 def project(params: TwoTowerParams, user_in: np.ndarray,
             item_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Push both embedding tables through their towers (no tape kept)."""
-    return params.forward(user_in, item_in)[:2]
+    """Push both embedding tables through their towers (no tape kept); read-only tables."""
+    user_out, item_out, _ = params.forward(user_in, item_in)
+    for table in (user_out, item_out):
+        table.setflags(write=False)
+    return user_out, item_out
 
 
 def _train_epoch(train, diff: DiffusionOutput, params: TwoTowerParams,
@@ -185,7 +188,7 @@ def model_outputs(params: TwoTowerParams | None, train: InteractionMatrix,
 
     With ``params`` None this is the training-free model: the diffusion
     output itself. Evaluation, zero-shot transfer and serving all score
-    these tables.
+    these tables; both are read-only.
     """
     if params is not None and params.user_mlp.d_in != item_emb.shape[1]:
         raise DataError(f"checkpoint dimension mismatch: d_in {params.user_mlp.d_in} != "

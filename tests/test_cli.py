@@ -423,11 +423,14 @@ def test_embed_config_file_settings_take_effect(dataset_dir, tmp_path):
      "embed with --mock does not read --endpoint"),
     (["--mock", "--model", "m"], "embed with --mock does not read --model"),
     (["--mock", "--cache", "CACHE"], "embed with --mock does not read --cache"),
+    (["--mock", "--batch-size", "-5"], "embed with --mock does not read --batch-size"),
+    (["--mock", "--concurrency", "0"], "embed with --mock does not read --concurrency"),
     (["--endpoint", "http://127.0.0.1:1/v1", "--dim", "8"],
      "embed without --mock does not read --dim"),
     (["--endpoint", "http://127.0.0.1:1/v1", "--seed", "3"],
      "embed without --mock does not read --seed"),
-], ids=["mock-endpoint", "mock-model", "mock-cache", "endpoint-dim", "endpoint-seed"])
+], ids=["mock-endpoint", "mock-model", "mock-cache", "mock-batch-size", "mock-concurrency",
+        "endpoint-dim", "endpoint-seed"])
 def test_embed_flag_the_mode_does_not_read_exit2(argv, message, tmp_path, capsys,
                                                  monkeypatch):
     # nothing exists: the flag check has to come before anything loads

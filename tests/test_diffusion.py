@@ -149,6 +149,18 @@ def test_block_diagonal_independence(rng):
     assert np.array_equal(base.item_final[:2], changed.item_final[:2])
 
 
+def test_diffuse_returns_read_only_tables(rng):
+    train = random_interactions(rng, 6, 9, 4)
+    item_emb = rng.standard_normal((9, 5)).astype(np.float32)
+    for n_layers in (0, 2):
+        out = diffuse(train, item_emb, n_layers)
+        for table in (out.user_final, out.item_final):
+            assert table.dtype == np.float32 and table.base is None
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
+    assert item_emb.flags.writeable     # the input itself is left writeable
+
+
 def test_graph_transpose_exact():
     train = InteractionMatrix.from_rows(3, 4, [[0, 2], [1, 2, 3], [0]])
     graph = NormalizedGraph(train)

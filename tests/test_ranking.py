@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import tracemalloc
@@ -133,6 +134,83 @@ class TestRecommendTopk:
     def test_zero_user_vector_errors(self):
         with pytest.raises(DataError, match="zero user vector"):
             recommend_topk(np.zeros(3), np.ones((4, 3), np.float32), set(), k=1)
+
+
+def frozen(table) -> np.ndarray:
+    """A float32 table that owns its data and is read-only, as ``diffuse`` returns."""
+    table = np.array(table, dtype=np.float32)
+    table.setflags(write=False)
+    return table
+
+
+def fresh_norms(table):
+    norms = np.sqrt(np.einsum("ij,ij->i", table, table))
+    norms[norms == 0] = 1.0
+    return norms
+
+
+class TestFrozenTableNorms:
+    def test_norms_reused_until_the_next_frozen_table(self, rng):
+        table, other = (frozen(rng.standard_normal((50, 8))) for _ in range(2))
+        first = ranking._item_table(table)[1]
+        assert ranking._item_table(table)[1] is first
+        assert not first.flags.writeable
+        assert np.array_equal(first, fresh_norms(table))
+        assert ranking._item_table(other)[1] is ranking._item_table(other)[1]
+        again = ranking._item_table(table)[1]
+        assert again is not first and np.array_equal(again, first)
+
+    def test_writeable_table_gets_fresh_norms(self, rng):
+        table = rng.standard_normal((50, 8)).astype(np.float32)
+        first = ranking._item_table(table)[1]
+        table[3] *= 2
+        second = ranking._item_table(table)[1]
+        assert second is not first and np.array_equal(second, fresh_norms(table))
+
+    def test_read_only_view_of_a_writeable_table_gets_fresh_norms(self, rng):
+        base = rng.standard_normal((50, 8)).astype(np.float32)
+        view = base.view()
+        view.setflags(write=False)
+        first = ranking._item_table(view)[1]
+        base[3] *= 2
+        second = ranking._item_table(view)[1]
+        assert second is not first and np.array_equal(second, fresh_norms(base))
+
+    def test_table_made_writeable_again_gets_fresh_norms(self, rng):
+        table = frozen(rng.standard_normal((50, 8)))
+        first = ranking._item_table(table)[1]
+        table.setflags(write=True)
+        table[3] *= 2
+        second = ranking._item_table(table)[1]
+        assert second is not first and np.array_equal(second, fresh_norms(table))
+
+    def test_float64_table_gets_fresh_norms(self, rng):
+        table = rng.standard_normal((50, 8))
+        table.setflags(write=False)
+        items, first = ranking._item_table(table)
+        assert items.dtype == np.float32
+        assert ranking._item_table(table)[1] is not first
+
+    def test_cache_does_not_keep_the_table_alive(self, rng):
+        table = frozen(rng.standard_normal((50, 8)))
+        ranking._item_table(table)
+        ref = ranking._frozen_norms[0]
+        assert ref() is table
+        del table
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("zero_rows", [0, 9])
+    def test_frozen_and_writeable_tables_serve_identical_lists(self, rng, zero_rows):
+        items = rng.standard_normal((300, 16)).astype(np.float32)
+        items[rng.choice(300, size=zero_rows, replace=False)] = 0.0
+        read_only = frozen(items)
+        for u, user in enumerate(rng.standard_normal((200, 16)).astype(np.float32)):
+            exclude = rng.choice(300, size=u % 25, replace=False)
+            a = recommend_topk(user, read_only, exclude, k=20)
+            b = recommend_topk(user, items, exclude, k=20)
+            assert a.items.tobytes() == b.items.tobytes()
+            assert a.scores.tobytes() == b.scores.tobytes()
 
 
 class TestMetricFormulas:

@@ -8,8 +8,8 @@ from textgcn.corpus import merge_corpora
 from textgcn.diffusion import diffuse
 from textgcn.errors import DataError
 from textgcn.tower import TwoTowerParams
-from textgcn.training import (TrainConfig, ablation_variants, apply_zero_shot, project,
-                              train)
+from textgcn.training import (TrainConfig, ablation_variants, apply_zero_shot, model_outputs,
+                              project, train)
 from textgcn.training import EVAL_K, _run_loop
 from textgcn.synthetic import SyntheticConfig, generate_clustered_split
 from textgcn.embeddings import mock_embed
@@ -101,6 +101,21 @@ def test_diffusion_is_frozen(tiny_dataset):
     _, _, after = train(split, emb, small_cfg(max_epochs=3, patience=10))
     assert before.user_final.tobytes() == after.user_final.tobytes()
     assert before.item_final.tobytes() == after.item_final.tobytes()
+
+
+def test_model_tables_are_read_only(tiny_dataset):
+    split, emb = tiny_dataset
+    # the epoch loop gathers rows of the frozen diffusion by fancy indexing
+    params, log, diff = train(split, emb, small_cfg(max_epochs=2, patience=10))
+    assert len(log.epochs) == 2
+    tables = [diff.user_final, diff.item_final,
+              *project(params, diff.user_final, diff.item_final)]
+    for towers in (None, params):
+        tables.extend(model_outputs(towers, split.train, emb, 2))
+    for table in tables:
+        assert table.dtype == np.float32 and table.base is None
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] += 1.0
 
 
 def test_one_and_two_tower_same_first_loss(tiny_dataset):
