@@ -2,7 +2,8 @@
 
 Spins up a toy in-process endpoint speaking the JSON embeddings protocol,
 fetches vectors through the real HTTP client (with batching and retries),
-and shows that the cache makes the second fetch free. Also demonstrates
+and shows that the cache, one segment file per fetched batch, makes the
+second fetch free. Also demonstrates
 the binary vector container and its sidecar ID file.
 """
 
@@ -15,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from textgcn.corpus import ItemCatalog
-from textgcn.embeddings import (VectorCache, fetch_embeddings, load_ids, load_matrix,
-                                mock_embed, save_matrix)
+from textgcn.embeddings import (SEGMENT_SUFFIX, VectorCache, fetch_embeddings, load_ids,
+                                load_matrix, mock_embed, save_matrix)
 
 workdir = Path(tempfile.mkdtemp(prefix="textgcn-emb-"))
 
@@ -66,7 +67,9 @@ again = fetch_embeddings(catalog, endpoint, model="toy-embedder",
                          batch_size=2, cache=cache, api_key="demo-key")
 print(f"refetch made {ToyEmbedder.calls - before} requests, "
       f"byte-identical: {again.tobytes() == matrix.tobytes()}")
-print(f"cache entries: {sorted(p.name[:8] for p in (workdir / 'cache').iterdir())}\n")
+segments = sorted((workdir / "cache").glob(f"*{SEGMENT_SUFFIX}"))
+print(f"cache: {len(segments)} segment files, one per fetched batch, "
+      f"for {len(set(catalog.titles))} distinct titles\n")
 server.shutdown()
 
 # -------------------------------------------------- binary container

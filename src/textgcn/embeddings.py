@@ -5,8 +5,9 @@ Vectors are stored row-major float32 in a small binary container (magic
 each row. Fetched vectors are kept exactly as the provider returned them;
 no re-normalization happens at ingestion. The cache is content-addressed
 by (model name, title), so renaming an item without changing its title is
-a cache hit. Every file, cache entries included, is written whole by
-``files.write_atomic``: an interrupted write never leaves a torn one.
+a cache hit; it holds one immutable segment file per fetched batch. Every
+file, cache segments included, is written whole by ``files.write_atomic``:
+an interrupted write never leaves a torn one.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -32,6 +34,11 @@ FORMAT_VERSION = 1
 DEFAULT_BATCH_SIZE = 256
 API_KEY_ENV = "TEXTGCN_EMBED_API_KEY"
 ENDPOINT_ENV = "TEXTGCN_EMBED_URL"
+SEGMENT_SUFFIX = ".tgc"
+# cache file names: a segment's content hash plus the suffix, or (the
+# per-vector layout of earlier versions) a bare key
+_CACHE_NAME = re.compile(rf"[0-9a-f]{{64}}(?:{re.escape(SEGMENT_SUFFIX)})?")
+_KEY_TABLE = re.compile(rb"(?:[0-9a-f]{64}\n)*")
 
 
 class EmbeddingServiceError(RuntimeError):
@@ -68,36 +75,50 @@ def validate_matrix(matrix: np.ndarray) -> np.ndarray:
 def save_matrix(matrix: np.ndarray, path: str | Path, ids: list[str] | None = None) -> None:
     """Write a float32 matrix in the TGE1 container; bit-exact round trip."""
     matrix = validate_matrix(matrix)
-    n_rows, dim = matrix.shape
-    if ids is not None and len(ids) != n_rows:
+    if ids is not None and len(ids) != len(matrix):
         raise DataError("sidecar ID count does not match row count")
     with write_atomic(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<III", FORMAT_VERSION, n_rows, dim))
-        fh.write(matrix)
+        _write_rows(fh, matrix)
     if ids is not None:
         with write_atomic(str(path) + ".ids") as fh:
             fh.write("".join(f"{i}\n" for i in ids))
 
 
-def load_matrix(path: str | Path) -> np.ndarray:
-    """Read a TGE1 file into one new writable float32 array (no second copy)."""
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16 or header[:4] != MAGIC:
-            raise DataError(f"{path}: not an embedding file")
-        version, n_rows, dim = struct.unpack("<III", header[4:])
-        if version != FORMAT_VERSION:
-            raise DataError(f"{path}: unsupported embedding file version {version}")
-        # checked before allocating, so a corrupt header cannot ask for a huge array
-        if os.fstat(fh.fileno()).st_size < 16 + n_rows * dim * 4:
-            raise DataError(f"{path}: truncated embedding file")
-        matrix = np.empty((n_rows, dim), dtype="<f4")
-        # a zero-size array has no byte view, and nothing to read
-        if matrix.size and fh.readinto(memoryview(matrix).cast("B")) < matrix.nbytes:
-            raise DataError(f"{path}: truncated embedding file")
+def _write_rows(fh, matrix: np.ndarray) -> None:
+    fh.write(MAGIC + struct.pack("<III", FORMAT_VERSION, *matrix.shape))
+    fh.write(matrix)
+
+
+def _read_header(fh, path: str | Path) -> tuple[int, int]:
+    """(rows, dim) of the TGE1 file open at offset 0; its size must hold them."""
+    header = fh.read(16)
+    if len(header) < 16 or header[:4] != MAGIC:
+        raise DataError(f"{path}: not an embedding file")
+    version, n_rows, dim = struct.unpack("<III", header[4:])
+    if version != FORMAT_VERSION:
+        raise DataError(f"{path}: unsupported embedding file version {version}")
+    # checked before allocating, so a corrupt header cannot ask for a huge array
+    if os.fstat(fh.fileno()).st_size < 16 + n_rows * dim * 4:
+        raise DataError(f"{path}: truncated embedding file")
+    return n_rows, dim
+
+
+def _read_rows(fh, path: str | Path) -> np.ndarray:
+    """The finite rows of the TGE1 file open at offset 0, in one new float32 array."""
+    n_rows, dim = _read_header(fh, path)
+    matrix = np.empty((n_rows, dim), dtype="<f4")
+    # a zero-size array has no byte view, and nothing to read
+    if matrix.size and fh.readinto(memoryview(matrix).cast("B")) < matrix.nbytes:
+        raise DataError(f"{path}: truncated embedding file")
     if not np.isfinite(matrix).all():
         raise DataError(f"{path}: non-finite value in embedding file")
     return matrix
+
+
+def load_matrix(path: str | Path) -> np.ndarray:
+    """Read a TGE1 file into one new writable float32 array (no second copy)."""
+    with open(path, "rb") as fh:
+        return _read_rows(fh, path)
 
 
 def load_ids(path: str | Path) -> list[str]:
@@ -109,18 +130,89 @@ def cache_key(model: str, title: str) -> str:
     return hashlib.sha256(f"{model}\x1f{title}".encode("utf-8")).hexdigest()
 
 
+def _is_key_table(table: bytes, n_rows: int) -> bool:
+    return len(table) == 65 * n_rows and _KEY_TABLE.fullmatch(table) is not None
+
+
+def _read_cache_file(path: Path) -> tuple[list[str], np.ndarray]:
+    """The keys and read-only rows of one cache file, from one open.
+
+    A segment's keys are the table after its rows; a per-vector entry's key
+    is its name, and it holds exactly one row.
+    """
+    with open(path, "rb") as fh:
+        rows = _read_rows(fh, path)
+        table = fh.read()
+    if path.suffix == SEGMENT_SUFFIX:
+        if not _is_key_table(table, len(rows)):
+            raise DataError(f"{path}: truncated or corrupt cache segment")
+        keys = table.decode("ascii").split()
+    elif len(rows) != 1:
+        raise DataError(f"{path}: a per-vector cache entry holds {len(rows)} rows")
+    else:
+        keys = [path.name]
+    rows.setflags(write=False)
+    return keys, rows
+
+
 class VectorCache:
-    """Directory of per-key vector files, made on the first put."""
+    """Directory of immutable segments, one file per stored batch, made on the first put.
+
+    A segment is a TGE1 container whose rows are followed by a key table, one
+    64-hex key per line; it is named by a hash of its content plus
+    ``SEGMENT_SUFFIX``. No file is rewritten and there is no index file, so
+    deleting a segment forgets exactly its vectors, and two processes filling
+    one cache never write the same file. The first ``get`` reads every
+    segment, its key table and its rows, opening each file once; a segment
+    that cannot be read is a ``DataError`` naming it, for every key, until
+    it is deleted. A key stored in several files is read from the
+    lowest-sorting name. A one-row TGE1 file named by its 64-hex key, the
+    per-vector layout of earlier versions, is read as that key's entry; any
+    other file or directory is ignored.
+    """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
+        # key -> (name of the file it was read from, its read-only row)
+        self._index: dict[str, tuple[str, np.ndarray]] | None = None
+
+    @staticmethod
+    def _add(index: dict[str, tuple[str, np.ndarray]], name: str, keys: list[str],
+             rows: np.ndarray) -> None:
+        for key, row in zip(keys, rows):
+            if key not in index or name < index[key][0]:
+                index[key] = (name, row)
 
     def get(self, key: str) -> np.ndarray | None:
-        path = self.directory / key
-        return load_matrix(path)[0] if path.exists() else None
+        """The key's vector (read-only), or None."""
+        if self._index is None:
+            index: dict[str, tuple[str, np.ndarray]] = {}
+            if self.directory.is_dir():
+                with os.scandir(self.directory) as entries:
+                    for entry in entries:
+                        if _CACHE_NAME.fullmatch(entry.name) and entry.is_file():
+                            self._add(index, entry.name, *_read_cache_file(Path(entry.path)))
+            self._index = index
+        found = self._index.get(key)
+        return None if found is None else found[1]
 
-    def put(self, key: str, vector: np.ndarray) -> None:
-        save_matrix(vector.reshape(1, -1), self.directory / key)
+    def put(self, keys: list[str], vectors: np.ndarray) -> None:
+        """Write one new segment holding row i of ``vectors`` under ``keys[i]``."""
+        rows = validate_matrix(vectors)
+        table = "".join(f"{key}\n" for key in keys).encode("utf-8")
+        if not _is_key_table(table, len(rows)):
+            raise DataError(f"need one 64-hex cache key per row, got {len(keys)} keys "
+                            f"for {len(rows)} rows")
+        digest = hashlib.sha256(table)
+        digest.update(rows)
+        path = self.directory / (digest.hexdigest() + SEGMENT_SUFFIX)
+        with write_atomic(path, "wb") as fh:
+            _write_rows(fh, rows)
+            fh.write(table)
+        if self._index is not None:
+            frozen = rows.copy()
+            frozen.setflags(write=False)
+            self._add(self._index, path.name, keys, frozen)
 
 
 def _post_json(url: str, payload: dict, api_key: str | None, timeout: float = 60.0) -> dict:
@@ -146,8 +238,8 @@ def _embed_batch(
     max_attempts: int,
     backoff: float,
     sleep: Callable[[float], None],
-) -> list[np.ndarray]:
-    """One request with retries; vectors reordered by the response index.
+) -> np.ndarray:
+    """One request with retries; rows reordered by the response index.
 
     A 4xx answer other than 408 and 429 is raised at once: repeating the
     request cannot change it. Before a retry it sleeps the failure's
@@ -176,13 +268,29 @@ def _embed_batch(
             f"endpoint returned {0 if not isinstance(data, list) else len(data)} "
             f"vectors for {len(titles)} inputs"
         )
+    # as many entries as inputs, each at a distinct index in range: all are covered
     out: list[np.ndarray | None] = [None] * len(titles)
-    for entry in data:
-        idx = int(entry["index"])
-        out[idx] = np.asarray(entry["embedding"], dtype=np.float32)
-    if any(v is None for v in out):
-        raise EmbeddingServiceError("response indices do not cover all inputs")
-    return out  # type: ignore[return-value]
+    for pos, entry in enumerate(data):
+        idx = entry.get("index") if isinstance(entry, dict) else None
+        if type(idx) is not int or not 0 <= idx < len(titles) or out[idx] is not None:
+            raise EmbeddingServiceError(
+                f"response entry {pos}: index {idx!r} is missing, out of range or repeated")
+        try:
+            vec = np.asarray(entry.get("embedding"), dtype=np.float32)
+        except (TypeError, ValueError):
+            vec = None
+        if vec is None or vec.ndim != 1:
+            raise EmbeddingServiceError(
+                f"response entry {pos}: embedding is not a list of numbers")
+        out[idx] = vec
+    return _stack(out)  # type: ignore[arg-type]
+
+
+def _stack(vectors: list[np.ndarray]) -> np.ndarray:
+    dims = sorted({v.shape[0] for v in vectors})
+    if len(dims) > 1:
+        raise EmbeddingServiceError(f"inconsistent embedding dimension: {dims}")
+    return np.stack(vectors)
 
 
 def fetch_embeddings(
@@ -233,15 +341,15 @@ def fetch_embeddings(
 
     batches = [missing[i:i + batch_size] for i in range(0, len(missing), batch_size)]
 
-    def run(batch: list[tuple[str, str]]) -> list[np.ndarray]:
+    def run(batch: list[tuple[str, str]]) -> np.ndarray:
         return _embed_batch(post, endpoint, model, [t for _, t in batch],
                             max_attempts, backoff, sleep)
 
-    def store(batch: list[tuple[str, str]], vecs: list[np.ndarray]) -> None:
-        for (key, _), vec in zip(batch, vecs):
-            vectors[key] = vec
-            if cache is not None:
-                cache.put(key, vec)
+    def store(batch: list[tuple[str, str]], rows: np.ndarray) -> None:
+        batch_keys = [key for key, _ in batch]
+        if cache is not None:
+            cache.put(batch_keys, rows)
+        vectors.update(zip(batch_keys, rows))
 
     if concurrency > 1 and len(batches) > 1:
         failure: BaseException | None = None
@@ -262,10 +370,7 @@ def fetch_embeddings(
         for batch in batches:
             store(batch, run(batch))
 
-    dims = {v.shape[0] for v in vectors.values()}
-    if len(dims) > 1:
-        raise EmbeddingServiceError(f"inconsistent embedding dimension: {sorted(dims)}")
-    matrix = np.stack([vectors[k] for k in keys]) if keys else np.zeros((0, 0), np.float32)
+    matrix = _stack([vectors[k] for k in keys]) if keys else np.zeros((0, 0), np.float32)
     return validate_matrix(matrix)
 
 

@@ -1,15 +1,18 @@
 import http.server
 import json
+import os
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from textgcn.corpus import ItemCatalog
-from textgcn.embeddings import (EmbeddingServiceError, VectorCache, cache_key,
-                                fetch_embeddings, load_ids, load_matrix, mock_embed,
-                                save_matrix)
+from textgcn.corpus import ItemCatalog, load_split
+from textgcn import embeddings
+from textgcn.cli import main
+from textgcn.embeddings import (SEGMENT_SUFFIX, EmbeddingServiceError, VectorCache,
+                                cache_key, fetch_embeddings, load_ids, load_matrix,
+                                mock_embed, save_matrix)
 from textgcn.errors import DataError
 
 
@@ -134,8 +137,8 @@ class FakeEndpoint:
 def test_fetch_cache_contract(tmp_path):
     cache = VectorCache(tmp_path / "cache")
     endpoint = FakeEndpoint()
-    for title in ("a", "b", "c"):
-        cache.put(cache_key("m", title), np.asarray(endpoint.vector(title), np.float32))
+    cache.put([cache_key("m", title) for title in ("a", "b", "c")],
+              np.asarray([endpoint.vector(title) for title in ("a", "b", "c")], np.float32))
     catalog = ItemCatalog(["a", "b", "c", "d", "e"])
     fake = FakeEndpoint()
     m = fetch_embeddings(catalog, "http://x", "m", batch_size=16, cache=cache, post=fake)
@@ -327,9 +330,12 @@ def test_cache_put_ignores_stale_tmp_name(tmp_path):
     # the cache makes its directory on the first put
     (cache.directory / f"{key}.tmp").mkdir(parents=True)
     vec = np.arange(3, dtype=np.float32)
-    cache.put(key, vec)
+    cache.put([key], vec[None])
     assert np.array_equal(cache.get(key), vec)
-    assert sorted(p.name for p in cache.directory.iterdir()) == [key, f"{key}.tmp"]
+    names = {p.name for p in cache.directory.iterdir()}
+    assert (cache.directory / f"{key}.tmp").is_dir()
+    [segment] = names - {f"{key}.tmp"}
+    assert segment.endswith(SEGMENT_SUFFIX)
 
 
 def test_fetch_concurrent_batches_keep_order(tmp_path):
@@ -347,9 +353,159 @@ def test_cache_is_content_addressed(tmp_path):
     # same title under a different external item ID must hit the cache
     cache = VectorCache(tmp_path / "c")
     vec = np.arange(4, dtype=np.float32)
-    cache.put(cache_key("m", "the title"), vec)
+    cache.put([cache_key("m", "the title")], vec[None])
     assert np.array_equal(cache.get(cache_key("m", "the title")), vec)
     assert cache.get(cache_key("other-model", "the title")) is None
+
+
+@pytest.mark.parametrize("data", [
+    [{"index": 0, "embedding": [1.0, 2.0]}, {"index": 2, "embedding": [1.0, 2.0]}],
+    [{"embedding": [1.0, 2.0]}, {"index": 1, "embedding": [1.0, 2.0]}],
+    [{"index": 0, "embedding": "AAAA"}, {"index": 1, "embedding": [1.0, 2.0]}],
+    [{"index": -1, "embedding": [1.0, 2.0]}, {"index": 0, "embedding": [1.0, 2.0]}],
+    [{"index": 0, "embedding": [[1.0, 2.0]]}, {"index": 1, "embedding": [[1.0, 2.0]]}],
+    [{"index": 0, "embedding": [1.0, 2.0]}, {"index": 0, "embedding": [1.0, 2.0]}],
+    ["a", {"index": 1, "embedding": [1.0, 2.0]}],
+], ids=["index-out-of-range", "index-missing", "base64-embedding", "negative-index",
+        "2-d-embedding", "repeated-index", "entry-not-an-object"])
+def test_bad_response_entry_is_a_service_error(tmp_path, data):
+    cache = VectorCache(tmp_path / "c")
+    with pytest.raises(EmbeddingServiceError, match="response entry [01]"):
+        fetch_embeddings(ItemCatalog(["a", "b"]), "http://x", "m", cache=cache,
+                         post=lambda url, payload: {"data": data})
+    assert not cache.directory.exists()
+
+
+def _fill(directory, titles, batch_size):
+    """Fetch ``titles`` through a cache in ``directory``; returns the endpoint used."""
+    fake = FakeEndpoint()
+    fetch_embeddings(ItemCatalog(titles), "http://x", "m", batch_size=batch_size,
+                     cache=VectorCache(directory), post=fake)
+    return fake
+
+
+def test_cache_writes_one_segment_per_batch(tmp_path):
+    fake = _fill(tmp_path / "c", [f"title {k}" for k in range(100)], 8)
+    names = os.listdir(tmp_path / "c")
+    assert len(names) == len(fake.requests) == 13
+    assert all(name.endswith(SEGMENT_SUFFIX) for name in names)
+
+
+def test_deleting_a_segment_forgets_exactly_its_batch(tmp_path):
+    directory = tmp_path / "c"
+    titles = [f"title {k}" for k in range(10)]
+    first = _fill(directory, titles, 3)
+    segments = sorted(directory.iterdir())
+    segments[1].unlink()
+    kept = {p: (p.stat().st_ino, p.stat().st_mtime_ns) for p in segments[:1] + segments[2:]}
+    cache = VectorCache(directory)
+    missing = [t for t in titles if cache.get(cache_key("m", t)) is None]
+    assert missing in first.requests
+    assert _fill(directory, titles, 3).requests == [missing]
+    # the rerun adds one segment and rewrites none
+    assert len(os.listdir(directory)) == 4
+    assert {p: (p.stat().st_ino, p.stat().st_mtime_ns) for p in kept} == kept
+
+
+def test_warm_fetch_opens_each_segment_once(tmp_path, monkeypatch):
+    titles = [f"title {k}" for k in range(100)]
+    _fill(tmp_path / "c", titles, 8)
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(os.path.basename(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(embeddings, "open", counting_open, raising=False)
+    assert _fill(tmp_path / "c", titles, 8).requests == []
+    assert sorted(opened) == sorted(os.listdir(tmp_path / "c"))
+    assert len(opened) == 13
+
+
+def test_two_caches_on_one_directory_each_add_segments(tmp_path):
+    keys = [cache_key("m", title) for title in ("a", "b")]
+    one, two = VectorCache(tmp_path / "c"), VectorCache(tmp_path / "c")
+    assert one.get(keys[1]) is None         # one loads its index before either writes
+    one.put(keys[:1], np.ones((1, 3), np.float32))
+    two.put(keys[1:], np.full((1, 3), 2.0, np.float32))
+    assert len(os.listdir(tmp_path / "c")) == 2
+    assert one.get(keys[0]).tolist() == [1.0] * 3   # a put joins a loaded index
+    fresh = VectorCache(tmp_path / "c")
+    assert fresh.get(keys[0]).tolist() == [1.0] * 3
+    assert fresh.get(keys[1]).tolist() == [2.0] * 3
+
+
+def test_a_key_in_two_segments_reads_from_the_lowest_name(tmp_path):
+    directory = tmp_path / "c"
+    key = cache_key("m", "t")
+    writer = VectorCache(directory)
+    assert writer.get(key) is None
+    value_of = {}
+    for value in range(5):
+        before = set(os.listdir(directory)) if directory.exists() else set()
+        writer.put([key], np.full((1, 2), value, np.float32))
+        [name] = set(os.listdir(directory)) - before
+        value_of[name] = float(value)
+    want = value_of[min(value_of)]
+    for cache in (writer, VectorCache(directory), VectorCache(directory)):
+        assert cache.get(key).tolist() == [want, want]
+
+
+def test_cache_ignores_files_it_did_not_write(tmp_path):
+    directory = tmp_path / "c"
+    key = cache_key("m", "t")
+    VectorCache(directory).put([key], np.ones((1, 2), np.float32))
+    (directory / ".0123456789abcdef.tmp").write_bytes(b"torn")
+    (directory / ("0" * 64 + SEGMENT_SUFFIX)).mkdir()
+    (directory / ("1" * 64)).mkdir()
+    (directory / "notes.txt").write_text("not a cache entry")
+    (directory / f"{key}.tge").write_bytes(b"junk")
+    cache = VectorCache(directory)
+    assert cache.get(key).tolist() == [1.0, 1.0]
+    assert cache.get("0" * 64) is None and cache.get("1" * 64) is None
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: raw[:-1],
+    lambda raw: raw[:24],
+    lambda raw: raw[:16] + np.float32(np.nan).tobytes() + raw[20:],
+], ids=["key-table-cut", "rows-cut", "non-finite"])
+def test_corrupt_segment_is_a_data_error(tmp_path, capsys, monkeypatch, corrupt):
+    dataset = tmp_path / "ds"
+    assert main(["ingest", "--synthetic", "clusters:2,users:30,items:24,seed:3",
+                 "--out", str(dataset)]) == 0
+    titles = load_split(dataset).catalog.titles
+    _fill(tmp_path / "c", titles, 64)
+    [segment] = (tmp_path / "c").iterdir()
+    segment.write_bytes(corrupt(segment.read_bytes()))
+    with pytest.raises(DataError, match=segment.name):
+        VectorCache(tmp_path / "c").get(cache_key("m", titles[0]))
+    monkeypatch.setenv("TEXTGCN_EMBED_API_KEY", "k")
+    capsys.readouterr()
+    # the error is raised before any request is sent
+    assert main(["embed", "--dataset", str(dataset), "--out", str(tmp_path / "x.tge"),
+                 "--endpoint", "http://127.0.0.1:9/v1", "--model", "m",
+                 "--cache", str(tmp_path / "c")]) == 2
+    assert segment.name in capsys.readouterr().err
+
+
+def test_per_vector_entries_of_earlier_versions_are_hits(tmp_path):
+    directory = tmp_path / "c"
+    directory.mkdir()
+    endpoint = FakeEndpoint()
+    titles = ["a", "b", "c"]
+    for title in titles:
+        vec = np.asarray(endpoint.vector(title), np.float32)
+        save_matrix(vec[None], directory / cache_key("m", title))
+    fake = FakeEndpoint()
+    m = fetch_embeddings(ItemCatalog(titles), "http://x", "m", cache=VectorCache(directory),
+                         post=fake)
+    assert fake.requests == []
+    assert m.tolist() == [endpoint.vector(title) for title in titles]
+    # a per-vector entry holds exactly one row
+    save_matrix(np.ones((2, 4), np.float32), directory / cache_key("m", "d"))
+    with pytest.raises(DataError, match=cache_key("m", "d")):
+        VectorCache(directory).get(cache_key("m", "d"))
 
 
 class _Handler(http.server.BaseHTTPRequestHandler):

@@ -9,7 +9,7 @@ import pytest
 
 from textgcn import embeddings
 from textgcn.cli import main
-from textgcn.embeddings import VectorCache, load_matrix, save_matrix
+from textgcn.embeddings import VectorCache, cache_key, load_matrix, save_matrix
 from textgcn.files import write_atomic
 from textgcn.search import TrialRecord, TrialStore
 
@@ -59,11 +59,12 @@ def test_new_files_get_plain_open_mode(tmp_path, umask):
     old = os.umask(umask)
     try:
         save_matrix(np.ones((1, 2), dtype=np.float32), tmp_path / "m.tge", ids=["x"])
-        VectorCache(tmp_path / "cache").put("k", np.ones(2, dtype=np.float32))
+        VectorCache(tmp_path / "cache").put([cache_key("m", "k")], np.ones((1, 2), np.float32))
         TrialStore(tmp_path / "rec").put("0123456789abcdef", TrialRecord({"lr": 1.0}, 0.5))
     finally:
         os.umask(old)
-    for path in (tmp_path / "m.tge", tmp_path / "m.tge.ids", tmp_path / "cache" / "k",
+    [segment] = (tmp_path / "cache").iterdir()
+    for path in (tmp_path / "m.tge", tmp_path / "m.tge.ids", segment,
                  tmp_path / "rec" / "0123456789abcdef.json"):
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
 
