@@ -133,7 +133,13 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tower", choices=tuple(TOWER_PREFIXES), default=None, dest="tower_mode")
 
 
-def _train_config(args) -> TrainConfig:
+def _train_config(args, preset: tuple[str, ...] = (), mode: str = "") -> TrainConfig:
+    """The run's TrainConfig; ``preset`` names the settings ``mode`` sets itself.
+
+    A setting that would not take effect, one in ``preset`` or
+    ``pos_quantile`` next to ``pos_k``, exits 2 when the user set it (by
+    flag or ``--config``); defaults are not checked.
+    """
     names = [f.name for f in fields(TrainConfig)]
     file_cfg = _read_config(args.config, names)
     overrides = {}
@@ -141,6 +147,12 @@ def _train_config(args) -> TrainConfig:
         value = _resolve(getattr(args, name, None), file_cfg, name)
         if value is not None:
             overrides[name] = value
+    if "pos_k" in overrides and "pos_quantile" in overrides:
+        raise DataError("pos_k (--pos) fixes the positive count: "
+                        "pos_quantile (--pos-quantile) would not take effect")
+    ignored = [name for name in preset if name in overrides]
+    if ignored:
+        raise DataError(f"{mode} sets {' and '.join(ignored)} itself: would not take effect")
     return replace(TrainConfig(), **overrides)
 
 
@@ -303,7 +315,8 @@ def _run_one_training(corpus: MergedCorpus, item_emb: np.ndarray, cfg: TrainConf
 
 def cmd_train(args) -> int:
     out = Path(args.out)
-    cfg = _train_config(args)
+    cfg = _train_config(args, ("tower_mode", "pos_k") if args.ablation else (),
+                        "train --ablation")
     variants = [(label, variant_cfg, out / label.replace("/", "_"))
                 for label, variant_cfg in ablation_variants(cfg)] if args.ablation else []
     for directory in [out] + [vdir for _, _, vdir in variants]:
@@ -394,7 +407,8 @@ def _quantiles(text: str) -> list[float]:
 
 
 def cmd_tune(args) -> int:
-    cfg = _train_config(args)
+    cfg = _train_config(args, ("pos_k", "pos_quantile") if args.stage == "pos" else (),
+                        "tune --stage pos")
     # sweep defaults come from the resolved run config, so flags like
     # --out-dim set the baseline for parameters not currently being swept
     values = search.BROAD_VALUES

@@ -275,13 +275,20 @@ def _embed_batch(
         if type(idx) is not int or not 0 <= idx < len(titles) or out[idx] is not None:
             raise EmbeddingServiceError(
                 f"response entry {pos}: index {idx!r} is missing, out of range or repeated")
-        try:
-            vec = np.asarray(entry.get("embedding"), dtype=np.float32)
-        except (TypeError, ValueError):
-            vec = None
-        if vec is None or vec.ndim != 1:
+        emb = entry.get("embedding")
+        # JSON numbers only: numpy would turn "1.5" or true into a float
+        if type(emb) is not list or not set(map(type, emb)) <= {int, float}:
             raise EmbeddingServiceError(
                 f"response entry {pos}: embedding is not a list of numbers")
+        try:
+            with np.errstate(over="ignore"):   # beyond float32 range becomes inf
+                vec = np.array(emb, dtype=np.float32)
+        except OverflowError:                  # an int beyond float64 range
+            vec = None
+        if vec is None or not np.isfinite(vec).all():
+            raise EmbeddingServiceError(
+                f"response entry {pos}: embedding holds a value that is not finite "
+                "or beyond float32 range")
         out[idx] = vec
     return _stack(out)  # type: ignore[arg-type]
 

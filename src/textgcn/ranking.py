@@ -297,22 +297,20 @@ def evaluate(split: DatasetSplit, user_emb: np.ndarray, item_emb: np.ndarray,
 
 def baseline_random(split: DatasetSplit, k: int = 20, seed: int = 0,
                     part: str = "test") -> MetricsReport:
-    """Uniformly random permutation of each user's candidates, seeded per user."""
-    train = split.train
-    # the candidate at position j of the user's permutation scores -j, so
-    # the top k are the permutation's first k
-    positions = np.arange(train.n_items, dtype=np.float64)
-    items = np.arange(train.n_items)
+    """A uniformly random k-subset of each user's candidates, in random order.
 
-    def score_block(users: np.ndarray) -> np.ndarray:
-        scores = np.full((len(users), train.n_items), -np.inf)
-        for row, u in enumerate(users.tolist()):
-            order = np.random.default_rng((seed, u)).permutation(
-                np.delete(items, train.items_of(u)))
-            scores[row, order] = -positions[:len(order)]
-        return scores
-
-    return _score_users(split, k, part, "random", score_block)
+    Every score is an independent uniform float64 draw (float32 would make
+    ties likely among thousands of candidates). Each score block draws from
+    its own stream, keyed by (seed, the block's first user), so the report
+    does not depend on the order blocks are scored in and is reproducible
+    for (split, part, k, seed); a user's list depends on which block the
+    user falls in.
+    """
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
+    n_items = split.train.n_items
+    return _score_users(split, k, part, "random", lambda users: np.random.default_rng(
+        (seed, int(users[0]))).random((len(users), n_items)))
 
 
 def baseline_pop(split: DatasetSplit, k: int = 20, part: str = "test") -> MetricsReport:

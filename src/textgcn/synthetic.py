@@ -43,6 +43,8 @@ class SyntheticConfig:
             raise DataError("need 1 <= min_degree <= max_degree")
         if self.max_degree >= self.n_items:
             raise DataError("max_degree must be below n_items")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 def item_title(cfg: SyntheticConfig, item: int) -> str:

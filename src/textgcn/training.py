@@ -52,6 +52,8 @@ class TrainConfig:
             raise DataError("pos_k, neg_j and batch_users must be >= 1")
         if self.temperature <= 0:
             raise DataError("temperature must be > 0")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

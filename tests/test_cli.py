@@ -396,6 +396,52 @@ def test_config_key_outside_train_config_exit2_before_loading(command, key, tmp_
     assert not (tmp_path / "o").exists() and not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["train", "--pos", "2", "--pos-quantile", "0.9"], {}, "would not take effect"),
+    (["train", "--pos-quantile", "0.9"], {"pos_k": 2}, "would not take effect"),
+    (["train", "--ablation", "--tower", "one"], {}, "train --ablation sets tower_mode"),
+    (["train", "--ablation", "--pos", "3"], {}, "train --ablation sets pos_k"),
+    (["train", "--ablation"], {"tower_mode": "two", "pos_k": 1},
+     "train --ablation sets tower_mode and pos_k"),
+    (["tune", "--stage", "pos", "--pos", "3"], {}, "tune --stage pos sets pos_k"),
+    (["tune", "--stage", "pos", "--pos-quantile", "0.9"], {},
+     "tune --stage pos sets pos_quantile"),
+], ids=["pos-and-quantile", "config-pos-and-quantile", "ablation-tower", "ablation-pos",
+        "ablation-config", "pos-stage-pos", "pos-stage-quantile"])
+def test_train_setting_that_would_not_take_effect_exit2(argv, config, message, tmp_path,
+                                                        capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    command, *flags = argv
+    argv = [command, "--dataset", str(tmp_path / "absent"), "--embeddings",
+            str(tmp_path / "absent.tge"), "--config", str(path), *flags]
+    argv += ["--out", str(tmp_path / "o")] if command == "train" else [
+        "--records", str(tmp_path / "r")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--dataset", "DATA", "--embeddings", "absent.tge", "--out", "o", "--seed", "-1"],
+    ["evaluate", "--dataset", "DATA", "--model", "random", "--seed", "-1", "--out", "o/r.json"],
+    ["ingest", "--synthetic", "clusters:2,users:30,items:24,seed:-1", "--out", "o"],
+], ids=["train", "evaluate-random", "ingest-synthetic"])
+def test_negative_seed_exit2(argv, dataset_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([str(dataset_dir) if arg == "DATA" else arg for arg in argv]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_embed_mock_negative_seed_accepted(dataset_dir, tmp_path):
+    # the mock vectors are keyed by a hash of the title, which takes any integer seed
+    out = tmp_path / "neg.tge"
+    assert main(["embed", "--dataset", str(dataset_dir), "--out", str(out),
+                 "--mock", "--dim", "8", "--seed", "-1"]) == 0
+    assert load_matrix(out).shape[1] == 8
+
+
 @pytest.mark.parametrize("content", [{"dims": 8}, {"dim": 8, "batch_size": 4}])
 def test_embed_config_key_outside_its_settings_exit2(content, dataset_dir, tmp_path, capsys):
     config = tmp_path / "cfg.json"
@@ -726,7 +772,8 @@ def test_ablation_flag_emits_table(dataset_dir, mock_embeddings, tmp_path):
     assert main(["train", "--dataset", str(dataset_dir),
                  "--embeddings", str(mock_embeddings), "--out", str(out),
                  "--ablation", "--seed", "0", "--max-epochs", "2",
-                 "--out-dim", "8", "--neg", "16", "--batch", "16"]) == 0
+                 "--out-dim", "8", "--neg", "16", "--batch", "16",
+                 "--pos-quantile", "0.75"]) == 0
     table = (out / "ablation.tsv").read_text()
     lines = table.strip().split("\n")
     assert lines[0] == "variant\tval_recall\ttest_recall\tbest_epoch"
@@ -734,6 +781,9 @@ def test_ablation_flag_emits_table(dataset_dir, mock_embeddings, tmp_path):
     labels = {l.split("\t")[0] for l in lines[1:]}
     assert labels == {"one-tower/1-pos", "one-tower/k-pos",
                       "two-tower/1-pos", "two-tower/k-pos"}
+    # the k-pos variants draw pos_quantile positives, so the ablation reads it
+    manifest = json.loads((out / "two-tower_k-pos" / "manifest.json").read_text())
+    assert manifest["meta"]["train_config"]["pos_quantile"] == 0.75
 
 
 def test_threads_flag_rejected(dataset_dir):

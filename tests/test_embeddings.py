@@ -1,5 +1,6 @@
 import http.server
 import json
+import math
 import os
 import threading
 import time
@@ -366,8 +367,14 @@ def test_cache_is_content_addressed(tmp_path):
     [{"index": 0, "embedding": [[1.0, 2.0]]}, {"index": 1, "embedding": [[1.0, 2.0]]}],
     [{"index": 0, "embedding": [1.0, 2.0]}, {"index": 0, "embedding": [1.0, 2.0]}],
     ["a", {"index": 1, "embedding": [1.0, 2.0]}],
+    # JSON numbers only, each finite and within float32 range
+    [{"index": 0, "embedding": [1.0, 2.0]}, {"index": 1, "embedding": ["1.5", 2.0]}],
+    [{"index": 0, "embedding": [1.0, 2.0]}, {"index": 1, "embedding": [True, 2.0]}],
+    [{"index": 0, "embedding": [1.0, 2.0]}, {"index": 1, "embedding": [1e39, 2.0]}],
+    [{"index": 0, "embedding": [1.0, 2.0]}, {"index": 1, "embedding": [math.nan, 2.0]}],
 ], ids=["index-out-of-range", "index-missing", "base64-embedding", "negative-index",
-        "2-d-embedding", "repeated-index", "entry-not-an-object"])
+        "2-d-embedding", "repeated-index", "entry-not-an-object", "numeric-string",
+        "bool", "beyond-float32", "nan"])
 def test_bad_response_entry_is_a_service_error(tmp_path, data):
     cache = VectorCache(tmp_path / "c")
     with pytest.raises(EmbeddingServiceError, match="response entry [01]"):

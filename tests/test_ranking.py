@@ -356,6 +356,44 @@ class TestBaselines:
         c = baseline_random(split, k=3, seed=12)
         assert (a.recall, a.ndcg, a.hr) != (c.recall, c.ndcg, c.hr)
 
+    @pytest.mark.parametrize("relevant", [1, 3, 4, 5])
+    def test_random_top1_is_uniform_over_candidates(self, relevant):
+        # every user trained on items 0 and 2 of 6: four candidates, one relevant
+        n_users, seeds = 1000, range(4)
+        split = make_split([[0, 2]] * n_users, [[]] * n_users, [[relevant]] * n_users,
+                           n_items=6)
+        trials = n_users * len(seeds)
+        share = math.fsum(baseline_random(split, k=1, seed=s).hr for s in seeds) / len(seeds)
+        assert abs(share - 0.25) <= 4 * math.sqrt(0.25 * 0.75 / trials)
+
+    def test_random_does_not_depend_on_block_order(self, rng, monkeypatch):
+        n_users, n_items = 1300, 30                    # three score blocks of 512
+        rows = [rng.permutation(n_items)[:5].tolist() for _ in range(n_users)]
+        split = make_split([sorted(r[:3]) for r in rows], [[]] * n_users,
+                           [sorted(r[3:]) for r in rows], n_items)
+        score_users = ranking._score_users
+        aggregate = ranking._aggregate
+        per_user = []
+
+        def reversed_blocks(split, k, part, model, score_block, block=512):
+            """``_score_users`` with every block scored before it, last block first."""
+            eligible = np.flatnonzero((split.test.user_degrees > 0)
+                                      & (split.train.user_degrees > 0))
+            scored = {int(eligible[start]): score_block(eligible[start:start + block])
+                      for start in reversed(range(0, len(eligible), block))}
+            return score_users(split, k, part, model, lambda users: scored[int(users[0])],
+                               block)
+
+        def capture(name, model, k, rows):
+            per_user.append(rows)
+            return aggregate(name, model, k, rows)
+
+        monkeypatch.setattr(ranking, "_aggregate", capture)
+        forward = baseline_random(split, k=5, seed=7)
+        monkeypatch.setattr(ranking, "_score_users", reversed_blocks)
+        assert baseline_random(split, k=5, seed=7).to_json() == forward.to_json()
+        assert per_user[0] == per_user[1]
+
     def test_pop_applies_exclusion(self):
         # user 0 interacted with the most popular item; it must not be recommended
         rows = [[2], [2], [2], [0]]
