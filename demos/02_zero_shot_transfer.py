@@ -34,7 +34,7 @@ print(f"held-out target: {target.name}\n")
 
 # -------------------------------------------------------- joint training
 corpus = merge_corpora([source_a, source_b])
-print(f"merged graph: {corpus.n_users} users x {corpus.n_items} items "
+print(f"merged graph: {corpus.train.n_users} users x {corpus.train.n_items} items "
       f"(block-diagonal, no cross-corpus edges)")
 cfg = TrainConfig(lr=5e-4, d_out=32, n_layers=2, neg_samples=64,
                   temperature=0.15, batch_users=64, patience=20,

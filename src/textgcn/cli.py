@@ -19,8 +19,9 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from . import __version__, embeddings, search, synthetic
 from .corpus import MergedCorpus, interaction_quantile, load_split, merge_corpora, save_split
 from .diffusion import diffuse
 from .errors import DataError
-from .files import read_json_object, write_atomic
+from .files import check_json_type, read_json_object, write_atomic
 from .ranking import baseline_pop, baseline_random, evaluate, recommend_topk
 from .tower import TOWER_PREFIXES, TwoTowerParams, load_checkpoint, save_checkpoint
 from .training import (TrainConfig, ablation_variants, apply_zero_shot, head_recall,
@@ -95,27 +96,31 @@ def _write_output(args, command: str, text: str, config: dict) -> None:
     _write_manifest(out.parent, command, dict(config, out=str(out)), inputs)
 
 
-def _read_config(path: str | None, settings) -> dict:
-    """The --config file's object ({} without one); a key outside ``settings`` is refused."""
-    if path is None:
-        return {}
-    file_cfg = read_json_object(path)
+_TRAIN_SETTINGS = get_type_hints(TrainConfig)
+
+
+def _merge_config(args, settings: dict) -> None:
+    """Fill each ``args`` setting the command line left None from the --config file.
+
+    ``settings`` maps the setting names, which are ``args`` attributes, to
+    their types. A key outside it, or a value of another JSON type, is refused.
+    """
+    file_cfg = {} if args.config is None else read_json_object(args.config)
     unknown = sorted(set(file_cfg) - set(settings))
     if unknown:
-        raise DataError(f"{path}: not a setting of this command: {', '.join(unknown)} "
+        raise DataError(f"{args.config}: not a setting of this command: {', '.join(unknown)} "
                         f"(expected some of {', '.join(sorted(settings))})")
-    return file_cfg
+    for name, value in file_cfg.items():
+        check_json_type(args.config, name, value, settings[name])
+        if getattr(args, name) is None:
+            setattr(args, name, value)
 
 
-def _resolve(flag, file_cfg: dict, key: str, env: str | None = None, default=None):
-    """Precedence: command-line flag > environment > config file > default."""
-    if flag is not None:
-        return flag
-    if env is not None and os.environ.get(env):
-        return os.environ[env]
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+def _refuse_unread(args, mode: str, names) -> None:
+    """Refuse the first flag in ``names`` the user set: ``mode`` does not read any of them."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise DataError(f"{mode} does not read --{name.replace('_', '-')}")
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -140,13 +145,9 @@ def _train_config(args, preset: tuple[str, ...] = (), mode: str = "") -> TrainCo
     ``pos_quantile`` next to ``pos_k``, exits 2 when the user set it (by
     flag or ``--config``); defaults are not checked.
     """
-    names = [f.name for f in fields(TrainConfig)]
-    file_cfg = _read_config(args.config, names)
-    overrides = {}
-    for name in names:
-        value = _resolve(getattr(args, name, None), file_cfg, name)
-        if value is not None:
-            overrides[name] = value
+    _merge_config(args, _TRAIN_SETTINGS)
+    overrides = {name: getattr(args, name) for name in _TRAIN_SETTINGS
+                 if getattr(args, name) is not None}
     if "pos_k" in overrides and "pos_quantile" in overrides:
         raise DataError("pos_k (--pos) fixes the positive count: "
                         "pos_quantile (--pos-quantile) would not take effect")
@@ -199,8 +200,7 @@ def _load_corpus(dataset_paths: list[str],
 
 def cmd_ingest(args) -> int:
     if args.synthetic:
-        if args.dataset:
-            raise DataError("ingest --synthetic does not read --dataset")
+        _refuse_unread(args, "ingest --synthetic", ("dataset",))
         if not args.out:
             raise DataError("--synthetic requires --out")
         out = Path(args.out)
@@ -213,8 +213,7 @@ def cmd_ingest(args) -> int:
     else:
         if not args.dataset:
             raise DataError("ingest needs --dataset or --synthetic")
-        if args.out:
-            raise DataError("ingest --dataset writes nothing: it does not read --out")
+        _refuse_unread(args, "ingest --dataset", ("out",))
         source = Path(args.dataset)
     split = load_split(source)
     train_m = split.train
@@ -231,32 +230,31 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    ignored = (("endpoint", "model", "batch_size", "cache", "concurrency") if args.mock
-               else ("dim", "seed"))
-    for name in ignored:
-        if getattr(args, name) is not None:
-            raise DataError(f"embed {'with' if args.mock else 'without'} --mock "
-                            f"does not read --{name.replace('_', '-')}")
-    file_cfg = _read_config(args.config, ("dim", "seed", "endpoint", "model"))
+    # flags only: one config file may hold the settings of both modes
+    _refuse_unread(args, f"embed {'with' if args.mock else 'without'} --mock",
+                   ("endpoint", "model", "batch_size", "cache", "concurrency") if args.mock
+                   else ("dim", "seed"))
+    if args.endpoint is None:
+        args.endpoint = os.environ.get(embeddings.ENDPOINT_ENV) or None
+    _merge_config(args, {"dim": int, "seed": int, "endpoint": str, "model": str})
     out_path = Path(args.out)
     _claim_manifest(out_path.parent, "embed")
     split = load_split(args.dataset)
     resolved: dict = {"dataset": str(args.dataset), "out": str(out_path)}
     if args.mock:
-        dim = int(_resolve(args.dim, file_cfg, "dim", default=64))
-        seed = int(_resolve(args.seed, file_cfg, "seed", default=0))
+        dim = 64 if args.dim is None else args.dim
+        seed = 0 if args.seed is None else args.seed
         matrix = embeddings.mock_embed(split.catalog, dim=dim, seed=seed)
         resolved.update({"mock": True, "dim": dim, "seed": seed})
         requests_made = 0
     else:
-        endpoint = _resolve(args.endpoint, file_cfg, "endpoint", env=embeddings.ENDPOINT_ENV)
-        if not endpoint:
+        if not args.endpoint:
             raise DataError("no embeddings endpoint (use --endpoint or "
                             f"{embeddings.ENDPOINT_ENV})")
         api_key = os.environ.get(embeddings.API_KEY_ENV)
         if not api_key:
             raise DataError(f"no API key in {embeddings.API_KEY_ENV}")
-        model = _resolve(args.model, file_cfg, "model", default="text-embedding-3-large")
+        model = "text-embedding-3-large" if args.model is None else args.model
         cache = embeddings.VectorCache(args.cache) if args.cache else None
         batch_size = embeddings.DEFAULT_BATCH_SIZE if args.batch_size is None else args.batch_size
         counter = {"requests": 0}
@@ -266,11 +264,11 @@ def cmd_embed(args) -> int:
             return embeddings._post_json(url, payload, api_key)
 
         matrix = embeddings.fetch_embeddings(
-            split.catalog, endpoint=endpoint, model=model,
+            split.catalog, endpoint=args.endpoint, model=model,
             batch_size=batch_size, cache=cache, post=post,
             concurrency=1 if args.concurrency is None else args.concurrency)
         requests_made = counter["requests"]
-        resolved.update({"mock": False, "model": model, "endpoint": endpoint,
+        resolved.update({"mock": False, "model": model, "endpoint": args.endpoint,
                          "batch_size": batch_size, "cache": args.cache})
     embeddings.save_matrix(matrix, out_path, ids=split.maps.item_ids)
     _write_manifest(out_path.parent, "embed", resolved, {"dataset": Path(args.dataset)})
@@ -355,18 +353,17 @@ def _evaluate_inputs(args) -> None:
         reads = ("user_emb", "item_emb") if args.user_emb or args.item_emb else ("embeddings",)
     else:
         reads = ("checkpoint", "embeddings") if args.model == "mlp" else ()
-    flag = lambda name: "--" + name.replace("_", "-")
-    for name in ("embeddings", "user_emb", "item_emb", "checkpoint"):
-        if getattr(args, name) and name not in reads:
-            raise DataError(f"evaluate --model {args.model} does not read {flag(name)}")
+    unread = [name for name in ("embeddings", "user_emb", "item_emb", "checkpoint")
+              if name not in reads]
+    if "embeddings" not in reads:
+        unread.append("layers")
+    if args.model != "random":
+        unread.append("seed")
+    mode = f"evaluate --model {args.model}"
+    _refuse_unread(args, mode, unread)
     if not all(getattr(args, name) for name in reads):
-        raise DataError(f"evaluate --model {args.model} needs "
-                        + " and ".join(flag(name) for name in reads))
-    if args.layers is not None and "embeddings" not in reads:
-        raise DataError(f"evaluate --model {args.model} does not read --layers: "
-                        "nothing is diffused")
-    if args.seed is not None and args.model != "random":
-        raise DataError(f"evaluate --model {args.model} does not read --seed")
+        raise DataError(f"{mode} needs "
+                        + " and ".join("--" + name.replace("_", "-") for name in reads))
 
 
 def cmd_evaluate(args) -> int:

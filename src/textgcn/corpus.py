@@ -174,14 +174,6 @@ class MergedCorpus:
     item_offsets: list[int]
     train: InteractionMatrix
 
-    @property
-    def n_users(self) -> int:
-        return self.train.n_users
-
-    @property
-    def n_items(self) -> int:
-        return self.train.n_items
-
     def part_user_range(self, p: int) -> tuple[int, int]:
         return self.user_offsets[p], self.user_offsets[p + 1]
 

@@ -1,11 +1,14 @@
-"""The one file writer (a temp file beside the target, renamed over it) and JSON reader."""
+"""The one file writer (a temp file beside the target, renamed over it) and JSON reader.
+
+``check_json_type`` holds a value read from JSON to the type of the setting it fills.
+"""
 
 from __future__ import annotations
 
 import json
 import os
 from contextlib import contextmanager
-from typing import IO, Iterator
+from typing import IO, Iterator, get_args
 
 from .errors import DataError
 
@@ -41,3 +44,20 @@ def read_json_object(path: str | os.PathLike) -> dict:
     if not isinstance(raw, dict):
         raise DataError(f"{path}: not a JSON object")
     return raw
+
+
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), type(None): ((type(None),), "null")}
+
+
+def check_json_type(path: str | os.PathLike, key: str, value, hint) -> None:
+    """``DataError`` naming the file and key unless the JSON ``value`` has type ``hint``.
+
+    ``hint`` is ``int``, ``float``, ``str`` or an optional one of them. An
+    int takes a JSON integer and never a bool; a float takes an integer or a
+    float; a str takes a string; an optional one also takes null.
+    """
+    kinds = get_args(hint) or (hint,)
+    if isinstance(value, bool) or not any(isinstance(value, _JSON_TYPES[k][0]) for k in kinds):
+        expected = " or ".join(_JSON_TYPES[k][1] for k in kinds)
+        raise DataError(f"{path}: {key} must be {expected}, got {json.dumps(value)}")

@@ -19,12 +19,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 from .errors import DataError
-from .files import read_json_object, write_atomic
+from .files import check_json_type, read_json_object, write_atomic
 from .training import TrainConfig
 
 BROAD_VALUES: dict[str, list] = {
@@ -42,7 +42,8 @@ def load_space(path: str | Path, values: dict[str, list] | None,
 
     The file holds a JSON object; ``values`` maps parameter names to
     non-empty lists and ``defaults`` maps them to values, every name a
-    ``TrainConfig`` field. With ``values`` None the file must hold its own.
+    ``TrainConfig`` field and every value of that field's JSON type
+    (``files.check_json_type``). With ``values`` None the file must hold its own.
     """
     spec = read_json_object(path)
     values = spec.get("values", values)
@@ -53,12 +54,17 @@ def load_space(path: str | Path, values: dict[str, list] | None,
         raise DataError(f'{path}: "values" must map parameter names to lists')
     if not isinstance(defaults, dict):
         raise DataError(f'{path}: "defaults" must map parameter names to values')
-    unknown = sorted((set(values) | set(defaults)) - {f.name for f in fields(TrainConfig)})
+    types = get_type_hints(TrainConfig)
+    unknown = sorted((set(values) | set(defaults)) - set(types))
     if unknown:
         raise DataError(f"{path}: unknown parameter(s) {', '.join(unknown)}")
     for name, options in values.items():
         if not options:
             raise DataError(f"{path}: empty value list for parameter {name!r}")
+        for value in options:
+            check_json_type(path, f"values.{name}", value, types[name])
+    for name, value in defaults.items():
+        check_json_type(path, f"defaults.{name}", value, types[name])
     return values, defaults
 
 

@@ -22,6 +22,8 @@ def test_artifact_digest_repeats(tmp_path):
                      "trials/summary.tsv", "ablation/ablation.tsv",
                      "ablation/one-tower_k-pos/manifest.json",
                      "ablation/one-tower_k-pos/shared.w1.tge",
-                     "eval/mlp-one-tower/manifest.json"):
+                     "eval/mlp-one-tower/manifest.json", "ckpt-config/manifest.json",
+                     "ckpt-config/log.jsonl", "emb-config/items.tge",
+                     "emb-config/manifest.json"):
         assert artifact in paths
     assert list(tmp_path.iterdir()) == []     # the work directory is removed

@@ -396,6 +396,35 @@ def test_config_key_outside_train_config_exit2_before_loading(command, key, tmp_
     assert not (tmp_path / "o").exists() and not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("command, content, message", [
+    ("train", {"seed": "3"}, 'seed must be an integer, got "3"'),
+    ("train", {"patience": "5"}, 'patience must be an integer, got "5"'),
+    ("train", {"lr": "0.01"}, 'lr must be a number, got "0.01"'),
+    ("train", {"max_epochs": True}, "max_epochs must be an integer, got true"),
+    ("tune", {"pos_k": 1.5}, "pos_k must be an integer or null, got 1.5"),
+    ("tune", {"tower_mode": 1}, "tower_mode must be a string, got 1"),
+    ("embed", {"dim": 8.7}, "dim must be an integer, got 8.7"),
+    ("embed", {"dim": "8"}, 'dim must be an integer, got "8"'),
+    ("embed", {"seed": False}, "seed must be an integer, got false"),
+    ("embed", {"model": 3}, "model must be a string, got 3"),
+], ids=["train-seed", "train-patience", "train-lr", "train-bool", "tune-pos-k",
+        "tune-tower", "embed-float-dim", "embed-text-dim", "embed-bool-seed", "embed-model"])
+def test_config_value_of_another_type_exit2_before_loading(command, content, message,
+                                                           tmp_path, capsys):
+    # the dataset does not exist: the type check has to come first
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(content))
+    data = ["--dataset", str(tmp_path / "absent")]
+    heads = ["--embeddings", str(tmp_path / "absent.tge")]
+    argv = {"train": ["train", *data, *heads, "--out", str(tmp_path / "o")],
+            "tune": ["tune", *data, *heads, "--stage", "broad",
+                     "--records", str(tmp_path / "r")],
+            "embed": ["embed", *data, "--mock", "--out", str(tmp_path / "o" / "items.tge")]}
+    assert main([*argv[command], "--config", str(config)]) == 2
+    assert f"{config}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("argv, config, message", [
     (["train", "--pos", "2", "--pos-quantile", "0.9"], {}, "would not take effect"),
     (["train", "--pos-quantile", "0.9"], {"pos_k": 2}, "would not take effect"),
@@ -502,7 +531,7 @@ def test_embed_concurrency_below_one_exit2(concurrency, dataset_dir, tmp_path, c
 
 
 @pytest.mark.parametrize("synthetic, message", [
-    ([], "ingest --dataset writes nothing: it does not read --out"),
+    ([], "ingest --dataset does not read --out"),
     (["--synthetic", SYNTH], "ingest --synthetic does not read --dataset"),
 ], ids=["dataset-out", "synthetic-dataset"])
 def test_ingest_flag_the_mode_does_not_read_exit2(synthetic, message, dataset_dir, tmp_path,
@@ -562,6 +591,25 @@ def test_tune_unknown_parameter_exit2(space, message, dataset_dir, mock_embeddin
     assert code == 2
     assert message in capsys.readouterr().err
     assert not records.exists()   # rejected before the store opens or any trial runs
+
+
+@pytest.mark.parametrize("space, message", [
+    ({"defaults": {"lr": "0.01"}}, 'defaults.lr must be a number, got "0.01"'),
+    ({"values": {"d_out": [8, 16.0]}}, "values.d_out must be an integer, got 16.0"),
+    ({"values": {"neg_samples": [True]}}, "values.neg_samples must be an integer, got true"),
+    ({"values": {"pos_k": [None, "2"]}}, 'values.pos_k must be an integer or null, got "2"'),
+], ids=["defaults-text-lr", "values-float-d-out", "values-bool", "values-text-pos-k"])
+def test_tune_space_value_of_another_type_exit2_before_loading(space, message, tmp_path,
+                                                               capsys):
+    # the dataset does not exist: the type check has to come before any trial
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(space))
+    records = tmp_path / "records"
+    assert main(["tune", "--dataset", str(tmp_path / "absent"), "--embeddings",
+                 str(tmp_path / "absent.tge"), "--stage", "broad", "--space", str(space_file),
+                 "--records", str(records)]) == 2
+    assert f"{space_file}: {message}" in capsys.readouterr().err
+    assert not records.exists()
 
 
 def test_tune_grid_empty_value_list_exit2(dataset_dir, mock_embeddings, tmp_path, capsys):

@@ -4,15 +4,18 @@ Usage: python tools/artifact_digest.py [SRC]
 
 Imports textgcn from SRC (default: this checkout's ``src/``) and runs, in a
 fresh temporary directory and with relative paths only: ``ingest
---synthetic``, ``embed --mock``, ``diffuse``, a short ``train`` and ``train
---ablation``, ``evaluate`` for every model tag (``textgcn`` both from raw
+--synthetic``, ``embed --mock`` with flags and again with a ``--config``
+file, ``diffuse``, a short ``train``, ``train --ablation`` and ``train
+--config``, ``evaluate`` for every model tag (``textgcn`` both from raw
 embeddings and from the diffused files, ``mlp`` on the two-tower and on a
 one-tower checkpoint), ``recommend`` with and without the checkpoint, each
 asking for one user twice, and ``tune --stage broad`` over a small space
-file the tool writes followed by ``tune --stage pos`` into the same records
-directory. It prints one ``sha256  path`` line per file the run left
-(the space file, every trial record and ``summary.tsv`` among them), then
-one for the concatenated stdout of the commands.
+file followed by ``tune --stage pos`` into the same records directory. The
+tool writes the space and config files itself. A flag next to each config
+file overrides one of its settings. It prints one ``sha256  path`` line per
+file the run left (the space and config files, every trial record and
+``summary.tsv`` among them), then one for the concatenated stdout of the
+commands.
 
 Two source trees that print the same lines produce byte-identical outputs
 for these commands: run it on a parent and on a change and diff the two
@@ -32,12 +35,21 @@ from pathlib import Path
 
 SYNTH = "clusters:2,users:60,items:40,seed:3,min_degree:5,max_degree:8"
 USERS = "u0,u3,u0"
-SPACE = '{"values": {"d_out": [8, 16], "n_layers": [1, 2]}}\n'
+INPUTS = {
+    "space.json": '{"values": {"d_out": [8, 16], "n_layers": [1, 2]}}\n',
+    "cfg.json": '{"seed": 2, "lr": 0.01, "max_epochs": 3, "d_out": 8, "neg_samples": 16, '
+                '"batch_users": 16, "pos_k": null, "tower_mode": "one"}\n',
+    # one embed config serves both modes: --mock reads only dim and seed
+    "embed-cfg.json": '{"dim": 8, "seed": 5, "endpoint": "http://127.0.0.1:1/v1", '
+                      '"model": "m"}\n',
+}
 TRAIN = ["--seed", "1", "--max-epochs", "3", "--out-dim", "8", "--neg", "16", "--batch", "16"]
 COMMANDS = [
     ["ingest", "--synthetic", SYNTH, "--out", "data"],
     ["embed", "--dataset", "data", "--out", "emb/items.tge", "--mock", "--dim", "16",
      "--seed", "3"],
+    ["embed", "--dataset", "data", "--out", "emb-config/items.tge", "--mock",
+     "--config", "embed-cfg.json", "--seed", "3"],
     ["diffuse", "--dataset", "data", "--embeddings", "emb/items.tge", "--layers", "2",
      "--out", "diffused"],
     # depth 1, so commands that default to the checkpoint's depth differ from depth 2
@@ -45,6 +57,8 @@ COMMANDS = [
      "--layers", "1", *TRAIN],
     ["train", "--dataset", "data", "--embeddings", "emb/items.tge", "--out", "ablation",
      "--ablation", "--layers", "1", *TRAIN],
+    ["train", "--dataset", "data", "--embeddings", "emb/items.tge", "--out", "ckpt-config",
+     "--config", "cfg.json", "--lr", "0.002"],
     ["evaluate", "--dataset", "data", "--model", "random", "--seed", "4",
      "--out", "eval/random/report.json"],
     ["evaluate", "--dataset", "data", "--model", "pop", "--out", "eval/pop/report.json"],
@@ -76,7 +90,8 @@ def _sha256(data: bytes) -> str:
 def digest_lines(main) -> list[str]:
     """Run COMMANDS through ``main`` in the current directory; one line per artifact."""
     stdout = io.StringIO()
-    Path("space.json").write_text(SPACE, encoding="utf-8")
+    for name, text in INPUTS.items():
+        Path(name).write_text(text, encoding="utf-8")
     for argv in COMMANDS:
         if "--out" in argv:
             Path(argv[argv.index("--out") + 1]).parent.mkdir(parents=True, exist_ok=True)
