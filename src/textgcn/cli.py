@@ -29,7 +29,7 @@ from . import __version__, embeddings, search, synthetic
 from .corpus import MergedCorpus, interaction_quantile, load_split, merge_corpora, save_split
 from .diffusion import diffuse
 from .errors import DataError
-from .files import check_json_type, read_json_object, write_atomic
+from .files import json_setting, read_json_object, write_atomic
 from .ranking import baseline_pop, baseline_random, evaluate, recommend_topk
 from .tower import TOWER_PREFIXES, TwoTowerParams, load_checkpoint, save_checkpoint
 from .training import (TrainConfig, ablation_variants, apply_zero_shot, head_recall,
@@ -103,7 +103,8 @@ def _merge_config(args, settings: dict) -> None:
     """Fill each ``args`` setting the command line left None from the --config file.
 
     ``settings`` maps the setting names, which are ``args`` attributes, to
-    their types. A key outside it, or a value of another JSON type, is refused.
+    their types. A key outside it, or a value of another JSON type, is refused;
+    an integer for a float setting is stored as a float, as its flag would be.
     """
     file_cfg = {} if args.config is None else read_json_object(args.config)
     unknown = sorted(set(file_cfg) - set(settings))
@@ -111,7 +112,7 @@ def _merge_config(args, settings: dict) -> None:
         raise DataError(f"{args.config}: not a setting of this command: {', '.join(unknown)} "
                         f"(expected some of {', '.join(sorted(settings))})")
     for name, value in file_cfg.items():
-        check_json_type(args.config, name, value, settings[name])
+        value = json_setting(args.config, name, value, settings[name])
         if getattr(args, name) is None:
             setattr(args, name, value)
 

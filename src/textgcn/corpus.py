@@ -181,6 +181,19 @@ class MergedCorpus:
         return self.item_offsets[p], self.item_offsets[p + 1]
 
 
+def _unique_sorted(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: what ``np.unique(values)`` returns.
+
+    One sort and an adjacent-difference mask. Since numpy 2.3, ``np.unique``
+    without a ``return_*`` flag takes a hash-table path that is tens of times
+    slower than a sort on int64 keys, and every command loads a split first.
+    """
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def _read_pairs(path: Path, maps: IdMaps) -> tuple[np.ndarray, np.ndarray]:
     """One interactions file as (user, item) dense-index arrays, one entry per item token.
 
@@ -255,7 +268,7 @@ def load_split(directory: str | Path) -> DatasetSplit:
 
     untitled = np.ones(n_items, dtype=bool)
     untitled[list(titles_by_idx)] = False
-    missing = np.unique(np.concatenate([items[untitled[items]] for _, items in pairs]))
+    missing = _unique_sorted(np.concatenate([items[untitled[items]] for _, items in pairs]))
     if len(missing):
         raise DataError(
             f"{directory}: {len(missing)} interaction item(s) without a title, "
@@ -263,7 +276,7 @@ def load_split(directory: str | Path) -> DatasetSplit:
         )
 
     # every file keyed against the final item count, so keys compare across files
-    train_keys, val_keys, test_keys = (np.unique(users * n_items + items)
+    train_keys, val_keys, test_keys = (_unique_sorted(users * n_items + items)
                                        for users, items in pairs)
     for label, a, b in (("train/val", train_keys, val_keys),
                         ("train/test", train_keys, test_keys),

@@ -1,6 +1,6 @@
 """The one file writer (a temp file beside the target, renamed over it) and JSON reader.
 
-``check_json_type`` holds a value read from JSON to the type of the setting it fills.
+``json_setting`` holds a value read from JSON to the type of the setting it fills.
 """
 
 from __future__ import annotations
@@ -50,14 +50,16 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                str: ((str,), "a string"), type(None): ((type(None),), "null")}
 
 
-def check_json_type(path: str | os.PathLike, key: str, value, hint) -> None:
-    """``DataError`` naming the file and key unless the JSON ``value`` has type ``hint``.
+def json_setting(path: str | os.PathLike, key: str, value, hint):
+    """The JSON ``value`` as a setting of type ``hint``; ``DataError`` naming the file and key.
 
     ``hint`` is ``int``, ``float``, ``str`` or an optional one of them. An
     int takes a JSON integer and never a bool; a float takes an integer or a
-    float; a str takes a string; an optional one also takes null.
+    float and returns a float, so ``1`` and ``1.0`` are one setting, as they
+    are by flag; a str takes a string; an optional one also takes null.
     """
     kinds = get_args(hint) or (hint,)
     if isinstance(value, bool) or not any(isinstance(value, _JSON_TYPES[k][0]) for k in kinds):
         expected = " or ".join(_JSON_TYPES[k][1] for k in kinds)
         raise DataError(f"{path}: {key} must be {expected}, got {json.dumps(value)}")
+    return float(value) if isinstance(value, int) and float in kinds else value

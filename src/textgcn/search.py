@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, get_type_hints
 
 from .errors import DataError
-from .files import check_json_type, read_json_object, write_atomic
+from .files import json_setting, read_json_object, write_atomic
 from .training import TrainConfig
 
 BROAD_VALUES: dict[str, list] = {
@@ -43,7 +43,8 @@ def load_space(path: str | Path, values: dict[str, list] | None,
     The file holds a JSON object; ``values`` maps parameter names to
     non-empty lists and ``defaults`` maps them to values, every name a
     ``TrainConfig`` field and every value of that field's JSON type
-    (``files.check_json_type``). With ``values`` None the file must hold its own.
+    (``files.json_setting``; an integer for a float field becomes a float).
+    With ``values`` None the file must hold its own.
     """
     spec = read_json_object(path)
     values = spec.get("values", values)
@@ -61,10 +62,10 @@ def load_space(path: str | Path, values: dict[str, list] | None,
     for name, options in values.items():
         if not options:
             raise DataError(f"{path}: empty value list for parameter {name!r}")
-        for value in options:
-            check_json_type(path, f"values.{name}", value, types[name])
-    for name, value in defaults.items():
-        check_json_type(path, f"defaults.{name}", value, types[name])
+    values = {name: [json_setting(path, f"values.{name}", value, types[name])
+                     for value in options] for name, options in values.items()}
+    defaults = {name: json_setting(path, f"defaults.{name}", value, types[name])
+                for name, value in defaults.items()}
     return values, defaults
 
 

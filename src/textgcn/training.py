@@ -10,6 +10,7 @@ from the best validation epoch, not the last one.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,8 +44,11 @@ class TrainConfig:
     tower_mode: str = "two"
 
     def __post_init__(self):
-        if self.patience < 1:
-            raise DataError("patience must be >= 1")
+        if self.patience < 1 or self.max_epochs < 1 or self.d_out < 1:
+            raise DataError("patience, max_epochs and d_out must be >= 1")
+        # lr 0 is kept: it holds the towers at their seeded start
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise DataError(f"lr must be a finite number >= 0, got {self.lr}")
         if self.tower_mode not in TOWER_PREFIXES:
             raise DataError(f"unknown tower mode {self.tower_mode!r}")
         if ((self.pos_k is not None and self.pos_k < 1) or self.neg_samples < 1

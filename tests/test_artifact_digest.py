@@ -24,6 +24,7 @@ def test_artifact_digest_repeats(tmp_path):
                      "ablation/one-tower_k-pos/shared.w1.tge",
                      "eval/mlp-one-tower/manifest.json", "ckpt-config/manifest.json",
                      "ckpt-config/log.jsonl", "emb-config/items.tge",
-                     "emb-config/manifest.json"):
+                     "emb-config/manifest.json", "raw/train.txt", "raw/val.txt",
+                     "raw/test.txt", "raw/titles.tsv"):
         assert artifact in paths
     assert list(tmp_path.iterdir()) == []     # the work directory is removed

@@ -360,7 +360,13 @@ def test_embed_mock_dim_zero_exit2(dataset_dir, tmp_path, capsys):
     (["--batch", "0"], "pos_k, neg_j and batch_users must be >= 1"),
     (["--pos", "0"], "pos_k, neg_j and batch_users must be >= 1"),
     (["--tau", "0"], "temperature must be > 0"),
-], ids=["neg", "batch", "pos", "tau"])
+    (["--max-epochs", "0"], "patience, max_epochs and d_out must be >= 1"),
+    (["--out-dim", "0"], "patience, max_epochs and d_out must be >= 1"),
+    (["--lr", "-1"], "lr must be a finite number >= 0, got -1.0"),
+    (["--lr", "inf"], "lr must be a finite number >= 0, got inf"),
+    (["--lr", "nan"], "lr must be a finite number >= 0, got nan"),
+], ids=["neg", "batch", "pos", "tau", "max-epochs", "out-dim", "lr-negative", "lr-inf",
+        "lr-nan"])
 def test_bad_head_config_exit2_before_loading(flag, message, tmp_path, capsys):
     # the dataset does not exist: the config check has to come first
     assert main(["train", "--dataset", str(tmp_path / "absent"), "--embeddings",
@@ -610,6 +616,22 @@ def test_tune_space_value_of_another_type_exit2_before_loading(space, message, t
                  "--records", str(records)]) == 2
     assert f"{space_file}: {message}" in capsys.readouterr().err
     assert not records.exists()
+
+
+def test_tune_recalls_a_trial_whose_float_setting_came_as_a_json_integer(
+        dataset_dir, mock_embeddings, tmp_path, capsys):
+    # {"lr": 1} in a file and --lr 1 are one setting, so the second run trains nothing
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"lr": 1}))
+    records = tmp_path / "records"
+    argv = ["tune", "--dataset", str(dataset_dir), "--embeddings", str(mock_embeddings),
+            "--stage", "pos", "--quantiles", "0.5", "--records", str(records),
+            "--max-epochs", "1", "--out-dim", "8", "--neg", "16", "--batch", "16"]
+    assert main([*argv, "--config", str(config)]) == 0
+    first = sorted(p.name for p in records.glob("*.json"))
+    assert main([*argv, "--lr", "1"]) == 0
+    assert sorted(p.name for p in records.glob("*.json")) == first
+    assert len(first) == 2
 
 
 def test_tune_grid_empty_value_list_exit2(dataset_dir, mock_embeddings, tmp_path, capsys):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textgcn.corpus import (IdMaps, InteractionMatrix, interaction_quantile, load_split,
-                            merge_corpora, read_titles, save_split, split_random)
+from textgcn.corpus import (IdMaps, InteractionMatrix, _unique_sorted, interaction_quantile,
+                            load_split, merge_corpora, read_titles, save_split, split_random)
 from textgcn.errors import DataError
 
 from conftest import make_split, write_dataset
@@ -221,6 +221,26 @@ def _reference_load_split(directory):
                for part in parts[1:]]
     return (maps.user_ids, maps.item_ids, matrices,
             [titles[i] for i in range(maps.n_items)], *dropped, duplicates)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([], dtype=np.int64),
+    np.array([7], dtype=np.int64),
+    np.full(5, 3, dtype=np.int64),
+    # keys of the last user and item of a 3e9 x 3e9 matrix, past int32
+    3 * 10**9 * 3 * 10**9 - 1 - np.array([0, 5, 0, 1, 5, 2], dtype=np.int64),
+], ids=["empty", "one", "all-equal", "near-n-users-times-n-items"])
+def test_unique_sorted_matches_np_unique(values):
+    got = _unique_sorted(values)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.unique(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=60))
+def test_unique_sorted_matches_np_unique_with_duplicates(values):
+    values = np.asarray(values, dtype=np.int64)
+    np.testing.assert_array_equal(_unique_sorted(values), np.unique(values))
 
 
 def _loaded(directory):

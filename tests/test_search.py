@@ -265,6 +265,19 @@ def test_load_space_falls_back_per_key(tmp_path):
     assert load_space(space, BROAD_VALUES, DEFAULTS) == (BROAD_VALUES, {"d_out": 8})
 
 
+def test_load_space_stores_an_integer_float_setting_as_a_float(tmp_path):
+    # {"lr": 1} from a file hashes like --lr 1, so its trial is recalled, not rerun
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"values": {"lr": [1, 0.5], "d_out": [8]},
+                                 "defaults": {"lr": 2, "temperature": 1}}))
+    values, defaults = load_space(space, None, DEFAULTS)
+    assert values == {"lr": [1.0, 0.5], "d_out": [8]}
+    assert [type(v) for v in values["lr"] + values["d_out"]] == [float, float, int]
+    assert [type(v) for v in defaults.values()] == [float, float]
+    assert config_hash(dict(defaults, lr=values["lr"][0])) == config_hash(
+        {"lr": 1.0, "temperature": 1.0})
+
+
 def test_pos_quantile_end_to_end_direction(tmp_path):
     # trained through the real loop: the median-positive policy should hold
     # its own against single-positive training on clustered data

@@ -4,16 +4,18 @@ Usage: python tools/artifact_digest.py [SRC]
 
 Imports textgcn from SRC (default: this checkout's ``src/``) and runs, in a
 fresh temporary directory and with relative paths only: ``ingest
---synthetic``, ``embed --mock`` with flags and again with a ``--config``
-file, ``diffuse``, a short ``train``, ``train --ablation`` and ``train
---config``, ``evaluate`` for every model tag (``textgcn`` both from raw
-embeddings and from the diffused files, ``mlp`` on the two-tower and on a
-one-tower checkpoint), ``recommend`` with and without the checkpoint, each
-asking for one user twice, and ``tune --stage broad`` over a small space
-file followed by ``tune --stage pos`` into the same records directory. The
-tool writes the space and config files itself. A flag next to each config
-file overrides one of its settings. It prints one ``sha256  path`` line per
-file the run left (the space and config files, every trial record and
+--synthetic``, ``ingest --dataset`` on a small raw dataset with a repeated
+pair, a comment line, a blank line and a bare user line, ``embed --mock``
+with flags and again with a ``--config`` file, ``diffuse``, a short
+``train``, ``train --ablation`` and ``train --config``, ``evaluate`` for
+every model tag (``textgcn`` both from raw embeddings and from the diffused
+files, ``mlp`` on the two-tower and on a one-tower checkpoint),
+``recommend`` with and without the checkpoint, each asking for one user
+twice, and ``tune --stage broad`` over a small space file followed by
+``tune --stage pos`` into the same records directory. The tool writes the
+raw dataset, the space and the config files itself. A flag next to each
+config file overrides one of its settings. It prints one ``sha256  path``
+line per file the run left (the input files, every trial record and
 ``summary.tsv`` among them), then one for the concatenated stdout of the
 commands.
 
@@ -42,10 +44,16 @@ INPUTS = {
     # one embed config serves both modes: --mock reads only dim and seed
     "embed-cfg.json": '{"dim": 8, "seed": 5, "endpoint": "http://127.0.0.1:1/v1", '
                       '"model": "m"}\n',
+    # ingest --dataset reports the repeated pair (a, x) and drops c, who has no train item
+    "raw/train.txt": "# raw interactions\na x y x\n\nb y z\nc\n",
+    "raw/val.txt": "a z\n",
+    "raw/test.txt": "b x\nc y\n",
+    "raw/titles.tsv": "x\tfirst title\ny\tsecond title\nz\tthird title\n",
 }
 TRAIN = ["--seed", "1", "--max-epochs", "3", "--out-dim", "8", "--neg", "16", "--batch", "16"]
 COMMANDS = [
     ["ingest", "--synthetic", SYNTH, "--out", "data"],
+    ["ingest", "--dataset", "raw"],
     ["embed", "--dataset", "data", "--out", "emb/items.tge", "--mock", "--dim", "16",
      "--seed", "3"],
     ["embed", "--dataset", "data", "--out", "emb-config/items.tge", "--mock",
@@ -91,6 +99,7 @@ def digest_lines(main) -> list[str]:
     """Run COMMANDS through ``main`` in the current directory; one line per artifact."""
     stdout = io.StringIO()
     for name, text in INPUTS.items():
+        Path(name).parent.mkdir(parents=True, exist_ok=True)
         Path(name).write_text(text, encoding="utf-8")
     for argv in COMMANDS:
         if "--out" in argv:
