@@ -258,17 +258,17 @@ def cmd_embed(args) -> int:
         model = "text-embedding-3-large" if args.model is None else args.model
         cache = embeddings.VectorCache(args.cache) if args.cache else None
         batch_size = embeddings.DEFAULT_BATCH_SIZE if args.batch_size is None else args.batch_size
-        counter = {"requests": 0}
+        concurrency = 1 if args.concurrency is None else args.concurrency
+        sent: list[str] = []   # one entry per request: an append is atomic across threads
+        with embeddings.http_transport(api_key, concurrency) as send:
+            def post(url: str, payload: dict):
+                sent.append(url)
+                return send(url, payload)
 
-        def post(url: str, payload: dict) -> dict:
-            counter["requests"] += 1
-            return embeddings._post_json(url, payload, api_key)
-
-        matrix = embeddings.fetch_embeddings(
-            split.catalog, endpoint=args.endpoint, model=model,
-            batch_size=batch_size, cache=cache, post=post,
-            concurrency=1 if args.concurrency is None else args.concurrency)
-        requests_made = counter["requests"]
+            matrix = embeddings.fetch_embeddings(
+                split.catalog, endpoint=args.endpoint, model=model,
+                batch_size=batch_size, cache=cache, post=post, concurrency=concurrency)
+        requests_made = len(sent)
         resolved.update({"mock": False, "model": model, "endpoint": args.endpoint,
                          "batch_size": batch_size, "cache": args.cache})
     embeddings.save_matrix(matrix, out_path, ids=split.maps.item_ids)

@@ -12,6 +12,7 @@ an interrupted write never leaves a torn one.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -23,7 +24,9 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import orjson
 import requests
+from requests.adapters import HTTPAdapter
 
 from .corpus import ItemCatalog
 from .errors import DataError
@@ -57,9 +60,9 @@ class EmbeddingServiceError(RuntimeError):
 
 
 def _retryable(err: Exception) -> bool:
-    """False only for an HTTP 4xx answer other than 408 and 429."""
+    """True for a failure with no HTTP status, and for HTTP 408, 429 and 5xx."""
     status = err.status if isinstance(err, EmbeddingServiceError) else None
-    return status is None or status in (408, 429) or not 400 <= status < 500
+    return status is None or status in (408, 429) or status >= 500
 
 
 def validate_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -215,11 +218,18 @@ class VectorCache:
             self._add(self._index, path.name, keys, frozen)
 
 
-def _post_json(url: str, payload: dict, api_key: str | None, timeout: float = 60.0) -> dict:
+def _post_json(session: requests.Session, url: str, payload: dict, api_key: str | None,
+               timeout: float = 60.0):
+    """POST ``payload`` as JSON; the decoded body of a 2xx answer.
+
+    The body must be strict UTF-8 JSON: ``NaN``, ``Infinity`` and a number
+    beyond float64 range do not decode. An undecodable body carries its
+    2xx status, so it is not retried.
+    """
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    resp = requests.post(url, data=json.dumps(payload), headers=headers, timeout=timeout)
+    resp = session.post(url, data=json.dumps(payload), headers=headers, timeout=timeout)
     if not 200 <= resp.status_code < 300:
         # only the delay-seconds form is read; an HTTP-date falls back to the backoff
         value = resp.headers.get("Retry-After", "").strip()
@@ -227,7 +237,26 @@ def _post_json(url: str, payload: dict, api_key: str | None, timeout: float = 60
                        else None)
         raise EmbeddingServiceError(f"HTTP {resp.status_code} from {url}: {resp.text[:500]}",
                                     status=resp.status_code, retry_after=retry_after)
-    return resp.json()
+    try:
+        return orjson.loads(resp.content)
+    except orjson.JSONDecodeError as err:
+        raise EmbeddingServiceError(f"undecodable JSON body in HTTP {resp.status_code} "
+                                    f"from {url}: {err}", status=resp.status_code) from err
+
+
+@contextlib.contextmanager
+def http_transport(api_key: str | None, concurrency: int):
+    """A ``post(url, payload)`` sending every request over one HTTP session, closed on exit.
+
+    ``api_key`` goes out as a bearer token when given. The session keeps up to
+    ``concurrency`` connections alive, so that many threads can share it and
+    each request after a host's first can skip the TCP (and TLS) handshake.
+    """
+    with requests.Session() as session:
+        adapter = HTTPAdapter(pool_maxsize=concurrency)
+        session.mount("http://", adapter)
+        session.mount("https://", adapter)
+        yield lambda url, payload: _post_json(session, url, payload, api_key)
 
 
 def _embed_batch(
@@ -241,8 +270,10 @@ def _embed_batch(
 ) -> np.ndarray:
     """One request with retries; rows reordered by the response index.
 
-    A 4xx answer other than 408 and 429 is raised at once: repeating the
-    request cannot change it. Before a retry it sleeps the failure's
+    Only a failure with no HTTP status (in transport) and an HTTP 408, 429 or
+    5xx answer are retried; any other answer, such as a 401 or a 2xx whose
+    body does not decode, is raised at once: repeating the request cannot
+    change it. Before a retry it sleeps the failure's
     ``retry_after`` when it has one, else the exponential backoff.
     """
     payload = {"model": model, "input": list(titles)}
@@ -262,7 +293,7 @@ def _embed_batch(
         raise EmbeddingServiceError(
             f"embedding request failed after {max_attempts} attempts: {last_err}"
         ) from last_err
-    data = body.get("data")
+    data = body.get("data") if isinstance(body, dict) else None
     if not isinstance(data, list) or len(data) != len(titles):
         raise EmbeddingServiceError(
             f"endpoint returned {0 if not isinstance(data, list) else len(data)} "
@@ -322,13 +353,13 @@ def fetch_embeddings(
     the batches not yet started, keeps those still running that return,
     then raises the first failure.
     ``post`` is the transport and exists mainly so tests can inject a fake
-    endpoint; without it, ``api_key`` is sent as a bearer token when given.
+    endpoint; without it, every batch goes through one ``http_transport``
+    (shared by the threads, closed on return) and ``api_key`` is sent as a
+    bearer token when given.
     No environment variable is read here: the CLI reads ``API_KEY_ENV``.
     """
     if batch_size < 1 or concurrency < 1:
         raise DataError("batch_size and concurrency must be >= 1")
-    if post is None:
-        post = lambda url, payload: _post_json(url, payload, api_key)
 
     keys = [cache_key(model, t) for t in catalog.titles]
     vectors: dict[str, np.ndarray] = {}
@@ -348,34 +379,37 @@ def fetch_embeddings(
 
     batches = [missing[i:i + batch_size] for i in range(0, len(missing), batch_size)]
 
-    def run(batch: list[tuple[str, str]]) -> np.ndarray:
-        return _embed_batch(post, endpoint, model, [t for _, t in batch],
-                            max_attempts, backoff, sleep)
-
     def store(batch: list[tuple[str, str]], rows: np.ndarray) -> None:
         batch_keys = [key for key, _ in batch]
         if cache is not None:
             cache.put(batch_keys, rows)
         vectors.update(zip(batch_keys, rows))
 
-    if concurrency > 1 and len(batches) > 1:
-        failure: BaseException | None = None
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            futures = {pool.submit(run, batch): batch for batch in batches}
-            for future in as_completed(futures):
-                if future.cancelled():
-                    continue
-                if future.exception() is None:
-                    store(futures[future], future.result())
-                elif failure is None:
-                    failure = future.exception()
-                    for pending in futures:
-                        pending.cancel()
-        if failure is not None:
-            raise failure
-    else:
-        for batch in batches:
-            store(batch, run(batch))
+    transport = (http_transport(api_key, concurrency) if post is None
+                 else contextlib.nullcontext(post))
+    with transport as send:
+        def run(batch: list[tuple[str, str]]) -> np.ndarray:
+            return _embed_batch(send, endpoint, model, [t for _, t in batch],
+                                max_attempts, backoff, sleep)
+
+        if concurrency > 1 and len(batches) > 1:
+            failure: BaseException | None = None
+            with ThreadPoolExecutor(max_workers=concurrency) as pool:
+                futures = {pool.submit(run, batch): batch for batch in batches}
+                for future in as_completed(futures):
+                    if future.cancelled():
+                        continue
+                    if future.exception() is None:
+                        store(futures[future], future.result())
+                    elif failure is None:
+                        failure = future.exception()
+                        for pending in futures:
+                            pending.cancel()
+            if failure is not None:
+                raise failure
+        else:
+            for batch in batches:
+                store(batch, run(batch))
 
     matrix = _stack([vectors[k] for k in keys]) if keys else np.zeros((0, 0), np.float32)
     return validate_matrix(matrix)

@@ -25,6 +25,10 @@ def test_artifact_digest_repeats(tmp_path):
                      "eval/mlp-one-tower/manifest.json", "ckpt-config/manifest.json",
                      "ckpt-config/log.jsonl", "emb-config/items.tge",
                      "emb-config/manifest.json", "raw/train.txt", "raw/val.txt",
-                     "raw/test.txt", "raw/titles.tsv"):
+                     "raw/test.txt", "raw/titles.tsv", "emb-http/items.tge",
+                     "emb-http/items.tge.ids"):
         assert artifact in paths
+    # 40 titles in batches of 16: one cache segment per batch
+    assert sum(p.startswith("emb-cache/") and p.endswith(".tgc") for p in paths) == 3
+    assert "emb-http/manifest.json" not in paths    # it records the server's port
     assert list(tmp_path.iterdir()) == []     # the work directory is removed

@@ -2,6 +2,7 @@ import http.server
 import json
 import shlex
 import shutil
+import sys
 import threading
 from pathlib import Path
 
@@ -120,6 +121,31 @@ def test_embed_cache_rerun_zero_requests(dataset_dir, tmp_path, capsys, monkeypa
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_embed_counts_requests_of_concurrent_batches(dataset_dir, tmp_path, capsys,
+                                                    monkeypatch):
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Server)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    monkeypatch.setenv("TEXTGCN_EMBED_API_KEY", "test-key")
+    url = f"http://127.0.0.1:{server.server_port}/v1/embeddings"
+    distinct = len(set(load_split(dataset_dir).catalog.titles))
+    outputs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)    # threads switch often: a lost count would show
+    try:
+        for concurrency in ("1", "3"):
+            out = tmp_path / concurrency / "items.tge"
+            assert main(["embed", "--dataset", str(dataset_dir), "--out", str(out),
+                         "--endpoint", url, "--batch-size", "1",
+                         "--concurrency", concurrency]) == 0
+            assert f"requests: {distinct}" in capsys.readouterr().out
+            outputs.append(out.read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
+        server.shutdown()
+        server.server_close()
+    assert outputs[0] == outputs[1]
 
 
 def test_diffuse_l0_item_passthrough(dataset_dir, mock_embeddings, tmp_path):

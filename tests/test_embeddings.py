@@ -1,12 +1,20 @@
+import gc
+import hashlib
 import http.server
 import json
 import math
 import os
+import struct
 import threading
 import time
+import warnings
 
 import numpy as np
+import orjson
 import pytest
+import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textgcn.corpus import ItemCatalog, load_split
 from textgcn import embeddings
@@ -518,13 +526,19 @@ def test_per_vector_entries_of_earlier_versions_are_hits(tmp_path):
 class _Handler(http.server.BaseHTTPRequestHandler):
     status = 200
     retry_after: str | None = None
+    body: bytes | None = None          # a 200 answer's body in place of the vectors
     authorization: str | None = None   # the last request's header
+    calls = 0
 
     def do_POST(self):
+        type(self).calls += 1
         type(self).authorization = self.headers.get("Authorization")
         n = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(n))
-        if self.status != 200:
+        if self.body is not None:
+            body = self.body
+            self.send_response(200)
+        elif self.status != 200:
             body = b"quota exceeded"
             self.send_response(self.status)
             if self.retry_after is not None:
@@ -597,3 +611,135 @@ def test_fetch_over_http_honours_retry_after(http_endpoint, status, header, slep
     finally:
         _Handler.status, _Handler.retry_after = 200, None
     assert sleeps == [slept]
+
+
+@pytest.mark.parametrize("body", [
+    b'{"data": [{"index": 0, "embedding": [1.0, 2',
+    b'{"data": [{"index": 0, "embedding": [NaN, 2.0]}]}',
+    b'{"data": [{"index": 0, "embedding": [Infinity, 2.0]}]}',
+    b'{"data": [{"index": 0, "embedding": [1e400, 2.0]}]}',
+    b'{"data": [{"index": 0, "embedding": [1.0, 2.0]}], "model": "\xff"}',
+], ids=["truncated", "nan", "infinity", "beyond-float64", "not-utf-8"])
+def test_fetch_undecodable_body_is_not_retried(http_endpoint, body):
+    _Handler.body, _Handler.calls = body, 0
+    sleeps = []
+    try:
+        with pytest.raises(EmbeddingServiceError,
+                           match=f"undecodable JSON body in HTTP 200 from {http_endpoint}: "):
+            fetch_embeddings(ItemCatalog(["one"]), http_endpoint, "m", api_key="k",
+                             max_attempts=3, sleep=sleeps.append)
+    finally:
+        _Handler.body = None
+    assert (_Handler.calls, sleeps) == (1, [])
+
+
+def test_fetch_body_that_is_not_an_object(http_endpoint):
+    _Handler.body = b"[]"
+    try:
+        with pytest.raises(EmbeddingServiceError, match="returned 0 vectors for 1 inputs"):
+            fetch_embeddings(ItemCatalog(["one"]), http_endpoint, "m", max_attempts=1)
+    finally:
+        _Handler.body = None
+
+
+# the JSON texts of one embedding, each parsed by the provider's JSON reader
+EDGE_NUMBERS = [
+    # shortest float32 reprs: largest, smallest normal, smallest subnormal, a tenth
+    "3.4028235e+38", "1.1754944e-38", "1e-45", "0.1", "-16777216.0",
+    # 17-digit doubles, some half-way between two float32 values
+    "0.10000000000000001", "-1.0000000596046448", "3.4028234663852886e+38",
+    "1.4012984643248171e-45", "2.2250738585072014e-308",
+    # double subnormals, and one that underflows to 0
+    "5e-324", "2.2250738585072009e-308", "-4.9406564584124654e-324", "1e-400",
+    "-0.0", "0.0",
+    # JSON integers, within and beyond int64 and uint64
+    "0", "-3", "16777217", "9007199254740993", "-9223372036854775808",
+    "18446744073709551615", "36893488147419103233",
+]
+
+
+def test_fetch_over_http_keeps_every_bit(http_endpoint):
+    body = ('{"data": [{"index": 0, "embedding": [%s]}]}' % ", ".join(EDGE_NUMBERS)).encode()
+    _Handler.body = body
+    try:
+        m = fetch_embeddings(ItemCatalog(["one"]), http_endpoint, "m")
+    finally:
+        _Handler.body = None
+    want = np.array(json.loads(body)["data"][0]["embedding"], dtype=np.float32)
+    assert m.tobytes() == want[None].tobytes()
+
+
+def _bits(values: list) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+def test_orjson_parses_finite_floats_like_json(values):
+    for text in (repr, "{:.17g}".format, "{:.25e}".format,
+                 lambda v: str(np.float32(v)) if abs(v) < 3.4e38 else repr(v)):
+        doc = "[" + ", ".join(map(text, values)) + "]"
+        assert _bits(orjson.loads(doc)) == _bits(json.loads(doc))
+
+
+def _title_vector(title: str) -> list[float]:
+    digest = hashlib.sha256(title.encode()).digest()
+    return [int.from_bytes(digest[k:k + 8], "little") / 2 ** 64 - 0.5 for k in (0, 8, 16)]
+
+
+class _KeepAliveHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each title with its own vector over HTTP/1.1 keep-alive connections."""
+
+    protocol_version = "HTTP/1.1"
+    clients: list = []   # (host, port) of each request's connection
+
+    def do_POST(self):
+        self.clients.append(self.client_address)
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        data = [{"index": i, "embedding": _title_vector(t)}
+                for i, t in enumerate(payload["input"])]
+        body = json.dumps({"data": data}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("concurrency", [1, 3])
+def test_fetch_sends_every_batch_over_one_session(concurrency, monkeypatch):
+    opened, closed = [], []
+
+    class RecordingSession(requests.Session):
+        def __init__(self):
+            super().__init__()
+            opened.append(self)
+
+        def close(self):
+            closed.append(self)
+            super().close()
+
+    monkeypatch.setattr(requests, "Session", RecordingSession)
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    _KeepAliveHandler.clients = []
+    titles = [f"title {k}" for k in range(12)]
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            m = fetch_embeddings(ItemCatalog(titles),
+                                 f"http://127.0.0.1:{server.server_port}/v1/embeddings", "m",
+                                 batch_size=2, concurrency=concurrency)
+            gc.collect()
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert m.tobytes() == np.array([_title_vector(t) for t in titles], np.float32).tobytes()
+    assert len(_KeepAliveHandler.clients) == 6
+    # batches reuse kept-alive connections: at most one per thread
+    assert 1 <= len(set(_KeepAliveHandler.clients)) <= concurrency
+    # one session for the whole fetch, closed on return: no socket left for the collector
+    assert len(opened) == 1 and closed == opened
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
