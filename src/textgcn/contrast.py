@@ -4,9 +4,16 @@ Each batch user anchors k positives drawn from their training history and
 J shared negatives drawn uniformly from the items they never interacted
 with. Every positive is contrasted against that positive plus the J
 negatives only (other positives never enter the denominator), with cosine
-similarity scaled by a temperature. Per-user RNG streams are keyed by
-(seed, epoch, user) so sampling is reproducible no matter how work is
-scheduled.
+similarity scaled by a temperature.
+
+Sampling is counter-based (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC 2011): one 64-bit key per (seed, epoch), from
+``np.random.SeedSequence``, is mixed with the user id and a stream tag into
+a per-user state, and draw ``c`` of that stream is the SplitMix64 finalizer
+of ``state + (c + 1) * golden gamma``. Every draw is a pure function of
+(seed, epoch, user, stream, counter), evaluated for a whole batch as array
+operations, so sampling is reproducible no matter how users are batched,
+ordered or scheduled.
 """
 
 from __future__ import annotations
@@ -18,6 +25,12 @@ import numpy as np
 from .corpus import InteractionMatrix
 from .errors import DataError
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)     # SplitMix64's golden-ratio increment
+_POS_TAG, _NEG_TAG = 0, 1                  # stream tags: positives, negatives
+# Largest (users x items) membership bitmap built at once; larger batches
+# test membership a block of users at a time.
+MEMBERSHIP_BYTES = 1 << 22
+
 
 @dataclass
 class ContrastBatch:
@@ -28,20 +41,79 @@ class ContrastBatch:
     negatives: np.ndarray   # (B, J)
 
 
-def _sample_negatives(rng: np.random.Generator, interacted: np.ndarray,
-                      n_items: int, count: int) -> np.ndarray:
-    """Uniform over the complement of `interacted`, by rejection; duplicates allowed."""
-    out = np.empty(count, dtype=np.int64)
-    filled = 0
-    while filled < count:
-        draw = rng.integers(0, n_items, size=max(16, 2 * (count - filled)))
-        pos = np.searchsorted(interacted, draw)
-        pos_clip = np.minimum(pos, len(interacted) - 1)
-        hit = interacted[pos_clip] == draw if len(interacted) else np.zeros(len(draw), bool)
-        keep = draw[~hit]
-        take = min(len(keep), count - filled)
-        out[filled:filled + take] = keep[:take]
-        filled += take
+def _mix(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer on a uint64 array; the arithmetic wraps."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _streams(key: np.ndarray, users: np.ndarray, tag: int) -> np.ndarray:
+    """Per-user stream states of one stream tag under one (seed, epoch) key."""
+    return _mix(key ^ _mix(users.astype(np.uint64) * np.uint64(2) + np.uint64(tag)))
+
+
+def _draws(states: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Draw number ``counters`` of the streams ``states`` (broadcast): uint64 words."""
+    return _mix(states + (counters.astype(np.uint64) + np.uint64(1)) * _GAMMA)
+
+
+def _segments(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and offset within its row of every entry of rows ``degrees`` long."""
+    row = np.repeat(np.arange(len(degrees)), degrees)
+    return row, np.arange(len(row)) - (np.cumsum(degrees) - degrees)[row]
+
+
+def _positives(indices: np.ndarray, starts: np.ndarray, degrees: np.ndarray,
+               states: np.ndarray, pos_k: int) -> np.ndarray:
+    """The k history items with the smallest keys, or k keyed picks if the history is short."""
+    out = np.empty((len(starts), pos_k), dtype=np.int64)
+    full = degrees >= pos_k
+    if full.any():
+        seg_row, offset = _segments(degrees[full])
+        keys = _draws(states[full][seg_row], offset)
+        # row above the key's high 32 bits: one sort orders every history by
+        # key; ties keep history order, so they too depend on the user alone
+        order = np.argsort((seg_row.astype(np.uint64) << np.uint64(32))
+                           | (keys >> np.uint64(32)), kind="stable")
+        chosen = order[offset < pos_k]
+        out[full] = indices[starts[full][seg_row[chosen]] + offset[chosen]].reshape(-1, pos_k)
+    short = ~full
+    if short.any():
+        picks = _draws(states[short, None], np.arange(pos_k))
+        picks %= degrees[short, None].astype(np.uint64)
+        out[short] = indices[starts[short, None] + picks.astype(np.int64)]
+    return out
+
+
+def _negatives(indices: np.ndarray, starts: np.ndarray, degrees: np.ndarray,
+               states: np.ndarray, n_items: int, neg_j: int) -> np.ndarray:
+    """The first J keyed draws over the catalog that miss each user's history.
+
+    Draws come in rounds of consecutive counters, the whole block of users
+    at once; only users still short of J take another round. Membership is
+    one lookup into a (users x items) bitmap of the block's histories.
+    """
+    n_rows = len(starts)
+    hist_row, hist_pos = _segments(degrees)
+    interacted = np.zeros(n_rows * n_items, dtype=bool)
+    interacted[hist_row * n_items + indices[starts[hist_row] + hist_pos]] = True
+
+    out = np.empty((n_rows, neg_j), dtype=np.int64)
+    filled = np.zeros(n_rows, dtype=np.int64)
+    width = max(16, 2 * neg_j)
+    rows = np.arange(n_rows)
+    first = 0
+    while len(rows):
+        draws = (_draws(states[rows, None], np.arange(first, first + width))
+                 % np.uint64(n_items)).astype(np.int64)
+        miss = ~interacted[rows[:, None] * n_items + draws]
+        slot = filled[rows, None] + np.cumsum(miss, axis=1) - 1
+        keep = miss & (slot < neg_j)
+        out[np.broadcast_to(rows[:, None], keep.shape)[keep], slot[keep]] = draws[keep]
+        filled[rows] += keep.sum(axis=1)
+        rows = rows[filled[rows] < neg_j]
+        first += width
     return out
 
 
@@ -50,29 +122,45 @@ def sample_batch(train: InteractionMatrix, users: np.ndarray | list[int],
     """Draw ``pos_k`` positives and ``neg_j`` negatives for each user of a batch.
 
     Positives are uniform without replacement when the user has at least k
-    training items, otherwise with replacement so the count is always
-    exactly k.
+    training items (the k with the smallest keys), otherwise with
+    replacement so the count is always exactly k. Negatives are uniform
+    over the items the user never interacted with, with replacement.
     """
     users = np.asarray(users, dtype=np.int64)
-    positives = np.empty((len(users), pos_k), dtype=np.int64)
-    negatives = np.empty((len(users), neg_j), dtype=np.int64)
-    for row, u in enumerate(users):
-        items = train.items_of(int(u))
-        if len(items) == 0:
+    starts = train.indptr[users]
+    degrees = train.indptr[users + 1] - starts
+    bad = np.flatnonzero((degrees == 0) | (degrees >= train.n_items))
+    if len(bad):
+        u = users[bad[0]]
+        if degrees[bad[0]] == 0:
             raise DataError(f"user {u} has zero train degree")
-        if len(items) >= train.n_items:
-            raise DataError(f"no negatives available for user {u}")
-        rng = np.random.default_rng((seed, epoch, int(u)))
-        positives[row] = rng.choice(items, size=pos_k, replace=len(items) < pos_k)
-        negatives[row] = _sample_negatives(rng, items, train.n_items, neg_j)
+        raise DataError(f"no negatives available for user {u}")
+
+    key = np.random.SeedSequence((seed, epoch)).generate_state(1, np.uint64)
+    positives = _positives(train.indices, starts, degrees,
+                           _streams(key, users, _POS_TAG), pos_k)
+    neg_states = _streams(key, users, _NEG_TAG)
+    negatives = np.empty((len(users), neg_j), dtype=np.int64)
+    block = max(1, MEMBERSHIP_BYTES // train.n_items)
+    for lo in range(0, len(users), block):
+        hi = lo + block
+        negatives[lo:hi] = _negatives(train.indices, starts[lo:hi], degrees[lo:hi],
+                                      neg_states[lo:hi], train.n_items, neg_j)
     return ContrastBatch(users=users, positives=positives, negatives=negatives)
 
 
 def localize_batch(batch: ContrastBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unique item IDs of the batch plus positive/negative indices into them."""
+    """Unique item IDs of the batch plus positive/negative indices into them.
+
+    The same arrays as ``np.unique(flat, return_inverse=True)``, from a
+    presence mask over the item IDs instead of a sort.
+    """
     n_users, k = batch.positives.shape
     flat = np.concatenate([batch.positives.ravel(), batch.negatives.ravel()])
-    unique_items, inverse = np.unique(flat, return_inverse=True)
+    present = np.zeros(flat.max(initial=-1) + 1, dtype=bool)
+    present[flat] = True
+    unique_items = np.flatnonzero(present).astype(flat.dtype, copy=False)
+    inverse = (np.cumsum(present) - 1)[flat]
     pos_local = inverse[:n_users * k].reshape(batch.positives.shape)
     neg_local = inverse[n_users * k:].reshape(batch.negatives.shape)
     return unique_items, pos_local, neg_local

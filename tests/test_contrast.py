@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from textgcn import contrast
 from textgcn.contrast import ContrastBatch, kcl_loss, localize_batch, sample_batch
 from textgcn.corpus import InteractionMatrix
 from textgcn.errors import DataError
@@ -141,6 +142,117 @@ class TestSampler:
         assert np.array_equal(c.negatives[back], a.negatives)
         d = sample_batch(train, np.arange(10), **sampling, epoch=5)
         assert not np.array_equal(a.negatives, d.negatives)
+
+
+class TestCounterSampler:
+    """Properties a broken counter-based sampler would fail."""
+
+    def test_negatives_miss_history_with_later_rounds(self):
+        # user 0 leaves one free item: a first round of 2J draws keeps about
+        # a tenth of them, so the rest of the row comes from later rounds
+        train = InteractionMatrix.from_rows(3, 10, [list(range(9)), [3], [0, 5, 9]])
+        batch = sample_batch(train, [0, 1, 2], pos_k=2, neg_j=64, seed=5, epoch=1)
+        assert set(batch.negatives[0].tolist()) == {9}
+        for row in (1, 2):
+            interacted = set(train.items_of(row).tolist())
+            assert not set(batch.negatives[row].tolist()) & interacted
+            assert len(set(batch.negatives[row].tolist())) > 1
+
+    def test_positives_distinct_and_uniform_when_enough(self):
+        history = [1, 4, 6, 8, 11, 13, 17, 19]
+        train = InteractionMatrix.from_rows(1, 20, [history])
+        counts = np.zeros(20)
+        epochs = 2000
+        for epoch in range(epochs):
+            row = sample_batch(train, [0], pos_k=3, neg_j=1, seed=4, epoch=epoch).positives[0]
+            assert len(set(row.tolist())) == 3 and set(row.tolist()) <= set(history)
+            counts[row] += 1
+        # each item is in a uniform 3-subset of 8 with probability 3/8
+        assert np.abs(counts[history] / epochs - 3 / 8).max() < 0.05
+
+    def test_positives_with_replacement_when_short(self):
+        train = InteractionMatrix.from_rows(1, 10, [[2, 5, 7]])
+        rows = np.stack([sample_batch(train, [0], pos_k=4, neg_j=1, seed=4,
+                                      epoch=epoch).positives[0] for epoch in range(600)])
+        assert set(rows.ravel().tolist()) == {2, 5, 7}
+        # independent draws: some rows miss an item, the counts are near uniform
+        assert sum(len(set(r.tolist())) < 3 for r in rows) > 100
+        shares = np.array([(rows == item).mean() for item in (2, 5, 7)])
+        assert np.abs(shares - 1 / 3).max() < 0.03
+
+    def test_negatives_uniform_over_complement(self):
+        from scipy.stats import chisquare
+
+        train = InteractionMatrix.from_rows(1, 50, [[0, 3, 7, 20, 21, 22, 48]])
+        draws = np.concatenate([
+            sample_batch(train, [0], pos_k=1, neg_j=500, seed=11, epoch=epoch).negatives[0]
+            for epoch in range(40)])
+        complement = np.setdiff1d(np.arange(50), train.items_of(0))
+        counts = np.bincount(draws, minlength=50)
+        assert counts[train.items_of(0)].sum() == 0
+        assert chisquare(counts[complement]).pvalue > 0.001
+
+    def test_draws_do_not_depend_on_batch(self, rng):
+        train = random_interactions(rng, 40, 60, 12)
+        whole = sample_batch(train, np.arange(40), pos_k=6, neg_j=9, seed=3, epoch=7)
+        for u in (0, 17, 39):
+            alone = sample_batch(train, [u], pos_k=6, neg_j=9, seed=3, epoch=7)
+            assert np.array_equal(alone.positives[0], whole.positives[u])
+            assert np.array_equal(alone.negatives[0], whole.negatives[u])
+        other_seed = sample_batch(train, np.arange(40), pos_k=6, neg_j=9, seed=4, epoch=7)
+        assert not np.array_equal(other_seed.negatives, whole.negatives)
+        assert not np.array_equal(other_seed.positives, whole.positives)
+
+    def test_seed_beyond_64_bits(self):
+        train = InteractionMatrix.from_rows(2, 30, [[1, 2, 3], [4, 5]])
+        low = sample_batch(train, [0, 1], pos_k=2, neg_j=8, seed=5, epoch=1)
+        high = sample_batch(train, [0, 1], pos_k=2, neg_j=8, seed=2 ** 64 + 5, epoch=1)
+        assert not np.array_equal(low.negatives, high.negatives)
+
+    def test_seed_beyond_64_bits_trains(self):
+        from textgcn.synthetic import SyntheticConfig, generate_clustered_split
+        from textgcn.training import TrainConfig, train
+
+        split = generate_clustered_split(SyntheticConfig(n_users=30, n_items=40, seed=1))
+        item_emb = np.random.default_rng(0).standard_normal((40, 8)).astype(np.float32)
+        cfg = TrainConfig(d_out=4, n_layers=1, neg_samples=8, batch_users=16,
+                          max_epochs=2, seed=2 ** 64 + 3)
+        _, log, _ = train(split, item_emb, cfg)
+        assert len(log.epochs) == 2 and all(np.isfinite(r.loss) for r in log.epochs)
+
+    def test_membership_blocks_give_the_same_draws(self, rng, monkeypatch):
+        n_users, n_items = 24, 400_000
+        rows = [sorted(rng.choice(n_items, size=int(rng.integers(1, 30)),
+                                  replace=False).tolist()) for _ in range(n_users)]
+        train = InteractionMatrix.from_rows(n_users, n_items, rows)
+        assert n_users * n_items > contrast.MEMBERSHIP_BYTES    # the default bound splits it
+        args = dict(pos_k=5, neg_j=40, seed=8, epoch=2)
+        chunked = sample_batch(train, np.arange(n_users), **args)
+        monkeypatch.setattr(contrast, "MEMBERSHIP_BYTES", n_users * n_items)
+        whole = sample_batch(train, np.arange(n_users), **args)
+        monkeypatch.setattr(contrast, "MEMBERSHIP_BYTES", 1)
+        per_user = sample_batch(train, np.arange(n_users), **args)
+        for other in (whole, per_user):
+            assert np.array_equal(chunked.positives, other.positives)
+            assert np.array_equal(chunked.negatives, other.negatives)
+        for u in range(n_users):
+            assert not set(chunked.negatives[u].tolist()) & set(rows[u])
+
+
+@pytest.mark.parametrize("k, n_neg", [(1, 64), (4, 128), (6, 256), (20, 64)])
+def test_localize_batch_matches_unique(rng, k, n_neg):
+    for n_items in (5, 300, 5000):     # from every item repeated to few repeats
+        batch = ContrastBatch(users=np.arange(32),
+                              positives=rng.integers(0, n_items, size=(32, k)),
+                              negatives=rng.integers(0, n_items, size=(32, n_neg)))
+        flat = np.concatenate([batch.positives.ravel(), batch.negatives.ravel()])
+        want_items, want_inverse = np.unique(flat, return_inverse=True)
+        unique_items, pos_local, neg_local = localize_batch(batch)
+        assert unique_items.dtype == want_items.dtype
+        assert unique_items.tobytes() == want_items.tobytes()
+        got_inverse = np.concatenate([pos_local.ravel(), neg_local.ravel()])
+        assert got_inverse.dtype == want_inverse.dtype
+        assert got_inverse.tobytes() == want_inverse.tobytes()
 
 
 def test_localize_batch_roundtrip():
