@@ -27,8 +27,9 @@ from .errors import DataError
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)     # SplitMix64's golden-ratio increment
 _POS_TAG, _NEG_TAG = 0, 1                  # stream tags: positives, negatives
-# Largest (users x items) membership bitmap built at once; larger batches
-# test membership a block of users at a time.
+# Bounds the (users x items) membership bitmap: membership is tested for
+# max(1, MEMBERSHIP_BYTES // n_items) users at a time, so a single user's
+# row is always built, even when it alone is larger.
 MEMBERSHIP_BYTES = 1 << 22
 
 

@@ -1,5 +1,6 @@
 """tools/margins.py prints the margins of the seed-dependent acceptance comparisons."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -12,10 +13,55 @@ sys.path.insert(0, str(TOOLS))
 import margins  # noqa: E402
 
 
+def _calls(node: ast.AST, name: str) -> list[ast.Call]:
+    return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+            and getattr(c.func, "id", getattr(c.func, "attr", None)) == name]
+
+
+def _keyword(call: ast.Call, name: str):
+    return next(ast.literal_eval(kw.value) for kw in call.keywords if kw.arg == name)
+
+
+def _asserted(node: ast.AST) -> set[str]:
+    return {ast.unparse(a.test) for a in ast.walk(node) if isinstance(a, ast.Assert)}
+
+
 def test_inputs_are_the_acceptance_suites():
     assert margins.SYNTH_A == test_acceptance.SYNTH_A
     assert margins.SYNTH_B == test_acceptance.SYNTH_B
     assert margins.TRAIN_FLAGS == test_acceptance.TRAIN_FLAGS
+
+    # the settings the suite writes inline, read from its source
+    suite = {node.name: node for node in ast.parse(Path(test_acceptance.__file__).read_text()).body
+             if isinstance(node, ast.FunctionDef)}
+    c6 = suite["test_criterion_6_end_to_end_directions"]
+    c7 = suite["test_criterion_7_ablation_harness"]
+    [cfg] = _calls(c6, "TrainConfig")
+    assert {kw.arg: ast.literal_eval(kw.value) for kw in cfg.keywords
+            if kw.arg != "seed"} == margins.CRITERION_6_CONFIG
+    assert {_keyword(c, "k") for name in ("evaluate", "baseline_random")
+            for c in _calls(c6, name)} == {margins.K}
+    assert {_keyword(c, "seed") for c in _calls(c6, "baseline_random")} == {margins.RANDOM_SEED}
+    n_layers = margins.CRITERION_6_CONFIG["n_layers"]
+    [zero_shot] = _calls(c6, "apply_zero_shot")
+    assert _keyword(zero_shot, "n_layers") == n_layers
+    assert [ast.literal_eval(c.args[2]) for c in _calls(c6, "diffuse")] == [n_layers]
+    embeds = [node.elts for tree in (suite["pipeline"], c6) for node in ast.walk(tree)
+              if isinstance(node, ast.List) and node.elts
+              and ast.unparse(node.elts[0]) == "'embed'"]
+    assert len(embeds) == 2
+    for elts in embeds:
+        assert [ast.literal_eval(e) for e in elts[-len(margins.EMBED_FLAGS):]] == margins.EMBED_FLAGS
+
+    # each margin's comparison and bound as the suite asserts it
+    sides = {"mlp - textgcn": ("mlp_r", "textgcn_r", c6),
+             "zs - randB": ("zero_shot_r", "random_b", c6),
+             "kpos - best": ("rows['two-tower/k-pos']", "best", c7)}
+    assert set(sides) == set(margins.MARGINS)
+    for name, (op, bound) in margins.MARGINS.items():
+        left, right, tree = sides[name]
+        offset = f" - {-bound:g}" if bound < 0 else f" + {bound:g}" if bound > 0 else ""
+        assert f"{left} {op} {right}{offset}" in _asserted(tree), name
 
 
 def test_one_seed_smoke(tmp_path):
