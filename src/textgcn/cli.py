@@ -173,19 +173,28 @@ def _load_rows(path: str, expected_ids: list[str]) -> np.ndarray:
     return matrix
 
 
-def _load_model(split, args) -> tuple[TwoTowerParams | None, np.ndarray, int]:
-    """The --checkpoint towers (None without one), the --embeddings table and the depth.
+def _load_model(split, args) -> tuple[TwoTowerParams | None, np.ndarray, int, dict]:
+    """The --checkpoint towers (None without one), the --embeddings table, the depth
+    and the checkpoint's meta ({} without one).
 
     The depth is --layers, else the checkpoint's training depth, else 2.
     """
     item_emb = _load_rows(args.embeddings, split.maps.item_ids)
-    params, meta = None, None
+    params, meta = None, {}
     if args.checkpoint:
         params, _, meta = load_checkpoint(args.checkpoint)
     layers = args.layers
     if layers is None:
-        layers = int((meta or {}).get("train_config", {}).get("n_layers", 2))
-    return params, item_emb, layers
+        layers = int(meta.get("train_config", {}).get("n_layers", 2))
+    return params, item_emb, layers, meta
+
+
+def _trained_on(meta: dict, dataset: str) -> bool:
+    """Whether a checkpoint trained on ``dataset``: its files hash as one of ``train``'s
+    ``dataset<i>`` inputs. Names of synthetic datasets collide; checksums do not."""
+    checksums = _input_checksums({"dataset": Path(dataset)})["dataset"]
+    return any(checksums == value for name, value in meta.get("inputs", {}).items()
+               if name.startswith("dataset"))
 
 
 def _load_corpus(dataset_paths: list[str],
@@ -383,8 +392,10 @@ def cmd_evaluate(args) -> int:
         item_out = _load_rows(args.item_emb, split.maps.item_ids)
         report = evaluate(split, user_out, item_out, k=k, part=args.part)
     else:
-        params, item_emb, layers = _load_model(split, args)
+        params, item_emb, layers, meta = _load_model(split, args)
         report = apply_zero_shot(params, split, item_emb, layers, k=k, part=args.part)
+        if params is not None and _trained_on(meta, args.dataset):
+            report = replace(report, model="textgcn-mlp")     # in-domain, not a transfer
     line = report.to_json()
     print(line)
     if args.out:
@@ -442,7 +453,7 @@ def cmd_recommend(args) -> int:
     if args.out:
         _claim_manifest(Path(args.out).parent, "recommend")
     split = load_split(args.dataset)
-    params, item_emb, layers = _load_model(split, args)
+    params, item_emb, layers, _ = _load_model(split, args)
     user_out, item_out = model_outputs(params, split.train, item_emb, layers)
     lines = []
     for ext in args.users.split(","):

@@ -26,7 +26,8 @@ def test_artifact_digest_repeats(tmp_path):
                      "ckpt-config/log.jsonl", "emb-config/items.tge",
                      "emb-config/manifest.json", "raw/train.txt", "raw/val.txt",
                      "raw/test.txt", "raw/titles.tsv", "emb-http/items.tge",
-                     "emb-http/items.tge.ids"):
+                     "emb-http/items.tge.ids", "data-exhausted/manifest.json",
+                     "data-exhausted/train.txt"):
         assert artifact in paths
     # 40 titles in batches of 16: one cache segment per batch
     assert sum(p.startswith("emb-cache/") and p.endswith(".tgc") for p in paths) == 3

@@ -307,6 +307,25 @@ def checkpoint(dataset_dir, mock_embeddings, tmp_path_factory):
     return ck
 
 
+def test_evaluate_mlp_tags_transfer_only_off_the_training_data(dataset_dir, mock_embeddings,
+                                                              checkpoint, tmp_path, capsys):
+    # same synthetic shape and directory name, other seed: names collide, files do not
+    other = tmp_path / dataset_dir.name
+    assert main(["ingest", "--synthetic", SYNTH.replace("seed:3", "seed:4"),
+                 "--out", str(other)]) == 0
+    assert load_split(other).name == load_split(dataset_dir).name
+    other_emb = tmp_path / "other.tge"
+    assert main(["embed", "--dataset", str(other), "--out", str(other_emb),
+                 "--mock", "--dim", "16", "--seed", "3"]) == 0
+    capsys.readouterr()
+    tags = []
+    for ds, emb in ((dataset_dir, mock_embeddings), (other, other_emb)):
+        assert main(["evaluate", "--dataset", str(ds), "--model", "mlp",
+                     "--checkpoint", str(checkpoint), "--embeddings", str(emb)]) == 0
+        tags.append(json.loads(capsys.readouterr().out)["model"])
+    assert tags == ["textgcn-mlp", "textgcn-mlp-zero-shot"]
+
+
 def test_recommend_matches_per_user_library_calls(dataset_dir, mock_embeddings, checkpoint,
                                                   capsys):
     split = load_split(dataset_dir)
@@ -493,6 +512,15 @@ def test_negative_seed_exit2(argv, dataset_dir, tmp_path, capsys, monkeypatch):
     assert main([str(dataset_dir) if arg == "DATA" else arg for arg in argv]) == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("exponent", ["nan", "2000", "-2000"])
+def test_ingest_synthetic_unusable_popularity_exponent_exit2(exponent, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["ingest", "--synthetic", f"{SYNTH},pop_exponent:{exponent}",
+                 "--out", str(out)]) == 2
+    assert "gives non-finite or zero item weights" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_embed_mock_negative_seed_accepted(dataset_dir, tmp_path):

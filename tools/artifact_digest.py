@@ -4,7 +4,8 @@ Usage: python tools/artifact_digest.py [SRC]
 
 Imports textgcn from SRC (default: this checkout's ``src/``) and runs, in a
 fresh temporary directory and with relative paths only: ``ingest
---synthetic``, ``ingest --dataset`` on a small raw dataset with a repeated
+--synthetic`` twice (once with every home pool running out), ``ingest
+--dataset`` on a small raw dataset with a repeated
 pair, a comment line, a blank line and a bare user line, ``embed --mock``
 with flags and again with a ``--config`` file, ``embed --endpoint --cache``
 against a loopback server the tool starts (its vectors hold 17-digit
@@ -43,6 +44,8 @@ import threading
 from pathlib import Path
 
 SYNTH = "clusters:2,users:60,items:40,seed:3,min_degree:5,max_degree:8"
+# 5 items per cluster against degrees of 8 to 12, all home: every home pool runs out
+SYNTH_EXHAUSTED = "clusters:4,users:40,items:20,seed:4,purity:1,min_degree:8,max_degree:12"
 USERS = "u0,u3,u0"
 INPUTS = {
     "space.json": '{"values": {"d_out": [8, 16], "n_layers": [1, 2]}}\n',
@@ -60,6 +63,7 @@ INPUTS = {
 TRAIN = ["--seed", "1", "--max-epochs", "3", "--out-dim", "8", "--neg", "16", "--batch", "16"]
 COMMANDS = [
     ["ingest", "--synthetic", SYNTH, "--out", "data"],
+    ["ingest", "--synthetic", SYNTH_EXHAUSTED, "--out", "data-exhausted"],
     ["ingest", "--dataset", "raw"],
     ["embed", "--dataset", "data", "--out", "emb/items.tge", "--mock", "--dim", "16",
      "--seed", "3"],
