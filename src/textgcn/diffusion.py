@@ -10,6 +10,15 @@ There is deliberately no learnable state here: self-loops, nonlinearities
 and layer weights are all absent. Arithmetic is float32 with the
 summation order fixed by the CSR layout, so repeated runs are
 bit-identical on one platform.
+
+``diffuse`` holds little beyond its output. Layer 0 becomes the
+accumulators, each middle layer is added and dropped once the next is
+built, and the last layer is added one block of CSR rows at a time
+(``BLOCK_BYTES`` of output a block), so it is never held whole. For
+L <= 2 the peak is at most the output, one layer pair, the graph and one
+row block; for L >= 3, building a middle layer briefly holds two pairs.
+Every element sees the same float32 operations, in the same order, as
+summing whole layers into copies and dividing into new arrays.
 """
 
 from __future__ import annotations
@@ -21,6 +30,10 @@ import scipy.sparse as sp
 
 from .corpus import InteractionMatrix
 from .errors import DataError
+
+# float32 output bytes per row block of the last layer: at most
+# max(1, BLOCK_BYTES // (4 * dim)) rows are multiplied at a time
+BLOCK_BYTES = 1 << 22
 
 
 class NormalizedGraph:
@@ -55,8 +68,8 @@ def init_user_layer0(train: InteractionMatrix, item_emb: np.ndarray) -> np.ndarr
         shape=(train.n_users, train.n_items),
     )
     sums = ones @ item_emb
-    denom = np.maximum(train.user_degrees, 1).astype(np.float32)
-    return sums / denom[:, None]
+    sums /= np.maximum(train.user_degrees, 1).astype(np.float32)[:, None]
+    return sums
 
 
 def propagate(
@@ -80,6 +93,13 @@ class DiffusionOutput:
     item_final: np.ndarray
 
 
+def _add_rows(acc: np.ndarray, adjacency: sp.csr_matrix, layer: np.ndarray) -> None:
+    """``acc += adjacency @ layer``, one block of CSR rows at a time."""
+    rows = max(1, BLOCK_BYTES // (4 * max(layer.shape[1], 1)))
+    for lo in range(0, acc.shape[0], rows):
+        acc[lo:lo + rows] += adjacency[lo:lo + rows] @ layer
+
+
 def diffuse(
     train: InteractionMatrix,
     item_emb: np.ndarray,
@@ -93,18 +113,20 @@ def diffuse(
     if n_layers < 0:
         raise DataError("n_layers must be >= 0")
     item_emb = np.ascontiguousarray(item_emb, dtype=np.float32)
-    user0 = init_user_layer0(train, item_emb)
-
-    graph = NormalizedGraph(train) if n_layers > 0 else None
-    user_acc = user0.copy()
+    user_acc = init_user_layer0(train, item_emb)
     item_acc = item_emb.copy()
-    user_l, item_l = user0, item_emb
-    for _ in range(n_layers):
-        user_l, item_l = propagate(graph, user_l, item_l)
-        user_acc += user_l
-        item_acc += item_l
+    if n_layers > 0:
+        graph = NormalizedGraph(train)
+        user_l, item_l = user_acc, item_emb
+        for _ in range(n_layers - 1):
+            user_l, item_l = propagate(graph, user_l, item_l)
+            user_acc += user_l
+            item_acc += item_l
+        # the last layer's item side first: with L=1, user_l is user_acc
+        _add_rows(item_acc, graph.item_to_user, user_l)
+        _add_rows(user_acc, graph.user_to_item, item_l)
     scale = np.float32(n_layers + 1)
-    out = DiffusionOutput(user_final=user_acc / scale, item_final=item_acc / scale)
-    for table in (out.user_final, out.item_final):
+    for table in (user_acc, item_acc):
+        table /= scale
         table.setflags(write=False)
-    return out
+    return DiffusionOutput(user_final=user_acc, item_final=item_acc)

@@ -257,7 +257,9 @@ def _score_users(split: DatasetSplit, k: int, part: str, model: str,
     score_block(users) returns a writable (len(users), n_items) score
     array. Each user's candidates are the items not scored -inf once
     their train items are masked to -inf. Ranking runs on row slices of
-    at most ``_SELECT_CELLS`` scores, which bounds its temporaries.
+    at most ``_SELECT_CELLS`` scores, which bounds its temporaries. Each
+    block is freed before the next is scored, so the loop holds one
+    ``block`` x n_items score array at a time.
     """
     if k < 1:
         raise DataError("k must be >= 1")
@@ -274,6 +276,7 @@ def _score_users(split: DatasetSplit, k: int, part: str, model: str,
         for lo in range(0, len(batch), rows):
             per_user.extend(_rank_rows(scores[lo:lo + rows], batch[lo:lo + rows],
                                        train, target, k, discount, ideal))
+        del scores      # free this block before the next one is scored
     return _aggregate(split.name, model, k, per_user)
 
 

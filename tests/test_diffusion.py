@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from textgcn import diffusion, ranking
 from textgcn.corpus import InteractionMatrix
 from textgcn.diffusion import NormalizedGraph, diffuse, init_user_layer0, propagate
 from textgcn.errors import DataError
+from textgcn.ranking import recommend_topk
 
 from conftest import random_interactions
 
@@ -31,6 +36,35 @@ def dense_oracle(train, item_emb, n_layers):
         acc += state
     acc /= n_layers + 1
     return acc[:m], acc[m:]
+
+
+def copy_accumulate_oracle(train, item_emb, n_layers):
+    """float32 diffusion composed of whole layers: copy layer 0, add each
+    ``propagate`` output, divide into new arrays."""
+    ones = sp.csr_matrix(
+        (np.ones(train.n_interactions, dtype=np.float32), train.indices, train.indptr),
+        shape=(train.n_users, train.n_items),
+    )
+    user_l = (ones @ item_emb) / np.maximum(train.user_degrees, 1).astype(np.float32)[:, None]
+    item_l = item_emb
+    user_acc, item_acc = user_l.copy(), item_l.copy()
+    graph = NormalizedGraph(train)
+    for _ in range(n_layers):
+        user_l, item_l = propagate(graph, user_l, item_l)
+        user_acc += user_l
+        item_acc += item_l
+    scale = np.float32(n_layers + 1)
+    return user_acc / scale, item_acc / scale
+
+
+def sparse_graph(rng, n_users, n_items):
+    """Random interactions in which every third user and item has none."""
+    pool = [i for i in range(n_items) if i % 3 != 1]
+    rows = []
+    for u in range(n_users):
+        deg = 0 if u % 3 == 1 else min(int(rng.integers(1, 5)), len(pool))
+        rows.append(sorted(rng.choice(pool, size=deg, replace=False).tolist()))
+    return InteractionMatrix.from_rows(n_users, n_items, rows)
 
 
 def test_init_user_layer0_examples():
@@ -152,13 +186,57 @@ def test_block_diagonal_independence(rng):
 def test_diffuse_returns_read_only_tables(rng):
     train = random_interactions(rng, 6, 9, 4)
     item_emb = rng.standard_normal((9, 5)).astype(np.float32)
-    for n_layers in (0, 2):
+    for n_layers in (0, 1, 2):
         out = diffuse(train, item_emb, n_layers)
         for table in (out.user_final, out.item_final):
             assert table.dtype == np.float32 and table.base is None
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 1.0
+        # frozen, so a second request reuses the item norms of the first
+        recommend_topk(out.user_final[0], out.item_final, train.items_of(0), k=3)
+        cached = ranking._frozen_norms
+        assert cached[0]() is out.item_final
+        recommend_topk(out.user_final[1], out.item_final, train.items_of(1), k=3)
+        assert ranking._frozen_norms is cached
     assert item_emb.flags.writeable     # the input itself is left writeable
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None], ids=["1-row", "3-row", "default"])
+def test_bit_identical_to_copy_accumulate_oracle(rng, monkeypatch, block_rows):
+    dim = 5
+    if block_rows is not None:
+        monkeypatch.setattr(diffusion, "BLOCK_BYTES", block_rows * 4 * dim)
+    for n_users, n_items in ((11, 9), (4, 13), (1, 1)):
+        train = sparse_graph(rng, n_users, n_items)
+        item_emb = rng.standard_normal((n_items, dim)).astype(np.float32)
+        for n_layers in range(5):
+            out = diffuse(train, item_emb, n_layers)
+            want_u, want_i = copy_accumulate_oracle(train, item_emb, n_layers)
+            assert out.user_final.tobytes() == want_u.tobytes()
+            assert out.item_final.tobytes() == want_i.tobytes()
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_peak_is_output_layer_pairs_graph_and_one_block(rng, monkeypatch, n_layers):
+    n_users, n_items, dim = 6000, 3000, 128
+    train = random_interactions(rng, n_users, n_items, 8)
+    item_emb = rng.standard_normal((n_items, dim)).astype(np.float32)
+    monkeypatch.setattr(diffusion, "BLOCK_BYTES", 256 * 4 * dim)
+    graph = NormalizedGraph(train)
+    graph_bytes = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                      for m in (graph.user_to_item, graph.item_to_user))
+    del graph
+    pair = (n_users + n_items) * dim * 4      # = the output: both accumulators
+    tracemalloc.start()
+    try:
+        diffuse(train, item_emb, n_layers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # L=1 holds no whole layer, L=2 one; slack covers the graph's float64
+    # edge temporaries and a block's CSR rows
+    held = pair + (n_layers - 1) * pair + graph_bytes + diffusion.BLOCK_BYTES
+    assert peak < held + pair // 4
 
 
 def test_graph_transpose_exact():

@@ -314,6 +314,26 @@ class TestEvaluate:
             tracemalloc.stop()
         assert peak < user_emb.nbytes / 2
 
+    def test_evaluate_holds_one_score_block(self, rng):
+        # a wide catalog and three blocks of users: two score blocks alive
+        # at once would exceed the bound
+        n_users, n_items, block = 1100, 8000, 512
+        split = make_split([[u % n_items, (u + 7) % n_items] for u in range(n_users)],
+                           [[]] * n_users, [[(u + 1) % n_items] for u in range(n_users)],
+                           n_items)
+        user_emb = rng.standard_normal((n_users, 16)).astype(np.float32)
+        item_emb = frozen(rng.standard_normal((n_items, 16)))
+        ranking._item_table(item_emb)        # norms cached, as for a served table
+        score_block = block * n_items * 4
+        tracemalloc.start()
+        try:
+            evaluate(split, user_emb, item_emb, k=20, block=block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # slack: the ranking temporaries of one _SELECT_CELLS slice
+        assert peak < score_block + 16 * ranking._SELECT_CELLS
+
     def test_excludes_users_without_history_or_relevance(self):
         split = make_split(train_rows=[[0], []], val_rows=[[], []],
                            test_rows=[[1], [1]], n_items=3)
