@@ -31,9 +31,8 @@ from .diffusion import diffuse
 from .errors import DataError
 from .files import json_setting, read_json_object, write_atomic
 from .ranking import baseline_pop, baseline_random, evaluate, recommend_topk
-from .tower import TOWER_PREFIXES, TwoTowerParams, load_checkpoint, save_checkpoint
-from .training import (TrainConfig, ablation_variants, apply_zero_shot, head_recall,
-                       model_outputs, train)
+from .tower import TOWER_PREFIXES, load_checkpoint, save_checkpoint
+from .training import TrainConfig, ablation_variants, head_recall, model_outputs, train
 
 
 def _sha256(path: Path) -> str:
@@ -117,11 +116,41 @@ def _merge_config(args, settings: dict) -> None:
             setattr(args, name, value)
 
 
-def _refuse_unread(args, mode: str, names) -> None:
-    """Refuse the first flag in ``names`` the user set: ``mode`` does not read any of them."""
-    for name in names:
-        if getattr(args, name) is not None:
-            raise DataError(f"{mode} does not read --{name.replace('_', '-')}")
+# command -> mode -> (flags it needs, other moded flags it reads, TrainConfig settings
+# it sets itself); names are argparse dests. A command's moded flags are those some
+# mode needs or reads. Messages print a mode up to " (": evaluate has two textgcn modes.
+_MODES = {
+    "ingest": {"--synthetic": (("out",), (), ()),
+               "--dataset": ((), ("dataset",), ())},
+    "embed": {"with --mock": ((), ("dim", "seed"), ()),
+              "without --mock": ((), ("endpoint", "model", "batch_size", "cache",
+                                      "concurrency"), ())},
+    "train": {"": ((), (), ()),
+              "--ablation": ((), (), ("tower_mode", "pos_k"))},
+    "evaluate": {"--model textgcn": (("embeddings",), ("layers",), ()),
+                 "--model textgcn (tables)": (("user_emb", "item_emb"), (), ()),
+                 "--model mlp": (("checkpoint", "embeddings"), ("layers",), ()),
+                 "--model random": ((), ("seed",), ()),
+                 "--model pop": ((), (), ())},
+    "tune": {"--stage broad": ((), ("space",), ()),
+             "--stage grid": (("space",), (), ()),
+             "--stage pos": ((), ("space", "quantiles"), ("pos_k", "pos_quantile"))},
+}
+
+
+def _check_mode(args, mode: str) -> tuple[str, ...]:
+    """Refuse, before anything loads, a moded flag ``mode`` does not read and a missing
+    one it needs (flags only, not --config keys); return the settings it sets itself."""
+    modes = _MODES[args.command]
+    needs, reads, sets = modes[mode]
+    label = f"{args.command} {mode.partition(' (')[0]}"
+    for name in dict.fromkeys(n for row in modes.values() for n in row[0] + row[1]):
+        if name not in needs + reads and getattr(args, name) is not None:
+            raise DataError(f"{label} does not read --{name.replace('_', '-')}")
+    if not all(getattr(args, name) for name in needs):
+        raise DataError(f"{label} needs "
+                        + " and ".join("--" + name.replace("_", "-") for name in needs))
+    return sets
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -139,13 +168,14 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tower", choices=tuple(TOWER_PREFIXES), default=None, dest="tower_mode")
 
 
-def _train_config(args, preset: tuple[str, ...] = (), mode: str = "") -> TrainConfig:
-    """The run's TrainConfig; ``preset`` names the settings ``mode`` sets itself.
+def _train_config(args, mode: str) -> TrainConfig:
+    """The run's TrainConfig in ``mode``, which ``_check_mode`` checks first.
 
-    A setting that would not take effect, one in ``preset`` or
+    A setting that would not take effect, one ``mode`` sets itself or
     ``pos_quantile`` next to ``pos_k``, exits 2 when the user set it (by
     flag or ``--config``); defaults are not checked.
     """
+    preset = _check_mode(args, mode)
     _merge_config(args, _TRAIN_SETTINGS)
     overrides = {name: getattr(args, name) for name in _TRAIN_SETTINGS
                  if getattr(args, name) is not None}
@@ -154,7 +184,8 @@ def _train_config(args, preset: tuple[str, ...] = (), mode: str = "") -> TrainCo
                         "pos_quantile (--pos-quantile) would not take effect")
     ignored = [name for name in preset if name in overrides]
     if ignored:
-        raise DataError(f"{mode} sets {' and '.join(ignored)} itself: would not take effect")
+        raise DataError(f"{args.command} {mode} sets {' and '.join(ignored)} itself: "
+                        "would not take effect")
     return replace(TrainConfig(), **overrides)
 
 
@@ -173,12 +204,14 @@ def _load_rows(path: str, expected_ids: list[str]) -> np.ndarray:
     return matrix
 
 
-def _load_model(split, args) -> tuple[TwoTowerParams | None, np.ndarray, int, dict]:
-    """The --checkpoint towers (None without one), the --embeddings table, the depth
-    and the checkpoint's meta ({} without one).
-
-    The depth is --layers, else the checkpoint's training depth, else 2.
-    """
+def _model_tables(split, args) -> tuple[np.ndarray, np.ndarray, int | None, dict]:
+    """The user and item tables, depth used and checkpoint meta ({} without one) of the
+    model the flags name: --user-emb/--item-emb as they are (depth None), else
+    --embeddings diffused to --layers (else the checkpoint's training depth, else 2)
+    and projected by the --checkpoint towers if given."""
+    if getattr(args, "user_emb", None):
+        return (_load_rows(args.user_emb, split.maps.user_ids),
+                _load_rows(args.item_emb, split.maps.item_ids), args.layers, {})
     item_emb = _load_rows(args.embeddings, split.maps.item_ids)
     params, meta = None, {}
     if args.checkpoint:
@@ -186,7 +219,7 @@ def _load_model(split, args) -> tuple[TwoTowerParams | None, np.ndarray, int, di
     layers = args.layers
     if layers is None:
         layers = int(meta.get("train_config", {}).get("n_layers", 2))
-    return params, item_emb, layers, meta
+    return *model_outputs(params, split.train, item_emb, layers), layers, meta
 
 
 def _trained_on(meta: dict, dataset: str) -> bool:
@@ -209,10 +242,10 @@ def _load_corpus(dataset_paths: list[str],
 
 
 def cmd_ingest(args) -> int:
+    if not (args.synthetic or args.dataset):
+        raise DataError("ingest needs --dataset or --synthetic")
+    _check_mode(args, "--synthetic" if args.synthetic else "--dataset")
     if args.synthetic:
-        _refuse_unread(args, "ingest --synthetic", ("dataset",))
-        if not args.out:
-            raise DataError("--synthetic requires --out")
         out = Path(args.out)
         _claim_manifest(out, "ingest")
         cfg = synthetic.parse_synthetic_spec(args.synthetic)
@@ -221,9 +254,6 @@ def cmd_ingest(args) -> int:
         _write_manifest(out, "ingest", {"synthetic": asdict(cfg)}, {})
         source = out
     else:
-        if not args.dataset:
-            raise DataError("ingest needs --dataset or --synthetic")
-        _refuse_unread(args, "ingest --dataset", ("out",))
         source = Path(args.dataset)
     split = load_split(source)
     train_m = split.train
@@ -241,9 +271,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_embed(args) -> int:
     # flags only: one config file may hold the settings of both modes
-    _refuse_unread(args, f"embed {'with' if args.mock else 'without'} --mock",
-                   ("endpoint", "model", "batch_size", "cache", "concurrency") if args.mock
-                   else ("dim", "seed"))
+    _check_mode(args, f"{'with' if args.mock else 'without'} --mock")
     if args.endpoint is None:
         args.endpoint = os.environ.get(embeddings.ENDPOINT_ENV) or None
     _merge_config(args, {"dim": int, "seed": int, "endpoint": str, "model": str})
@@ -323,8 +351,7 @@ def _run_one_training(corpus: MergedCorpus, item_emb: np.ndarray, cfg: TrainConf
 
 def cmd_train(args) -> int:
     out = Path(args.out)
-    cfg = _train_config(args, ("tower_mode", "pos_k") if args.ablation else (),
-                        "train --ablation")
+    cfg = _train_config(args, "--ablation" if args.ablation else "")
     variants = [(label, variant_cfg, out / label.replace("/", "_"))
                 for label, variant_cfg in ablation_variants(cfg)] if args.ablation else []
     for directory in [out] + [vdir for _, _, vdir in variants]:
@@ -353,31 +380,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _evaluate_inputs(args) -> None:
-    """Reject a flag the chosen model does not read, and a missing file flag it needs.
-
-    Only a model read from --embeddings is diffused, so only it reads
-    --layers; only ``random`` reads --seed.
-    """
-    if args.model == "textgcn":
-        reads = ("user_emb", "item_emb") if args.user_emb or args.item_emb else ("embeddings",)
-    else:
-        reads = ("checkpoint", "embeddings") if args.model == "mlp" else ()
-    unread = [name for name in ("embeddings", "user_emb", "item_emb", "checkpoint")
-              if name not in reads]
-    if "embeddings" not in reads:
-        unread.append("layers")
-    if args.model != "random":
-        unread.append("seed")
-    mode = f"evaluate --model {args.model}"
-    _refuse_unread(args, mode, unread)
-    if not all(getattr(args, name) for name in reads):
-        raise DataError(f"{mode} needs "
-                        + " and ".join("--" + name.replace("_", "-") for name in reads))
-
-
 def cmd_evaluate(args) -> int:
-    _evaluate_inputs(args)
+    tables = args.model == "textgcn" and bool(args.user_emb or args.item_emb)
+    _check_mode(args, f"--model {args.model}" + (" (tables)" if tables else ""))
     if args.out:
         _claim_manifest(Path(args.out).parent, "evaluate")
     split = load_split(args.dataset)
@@ -387,15 +392,12 @@ def cmd_evaluate(args) -> int:
         report = baseline_random(split, k=k, seed=args.seed or 0, part=args.part)
     elif args.model == "pop":
         report = baseline_pop(split, k=k, part=args.part)
-    elif args.user_emb:
-        user_out = _load_rows(args.user_emb, split.maps.user_ids)
-        item_out = _load_rows(args.item_emb, split.maps.item_ids)
-        report = evaluate(split, user_out, item_out, k=k, part=args.part)
     else:
-        params, item_emb, layers, meta = _load_model(split, args)
-        report = apply_zero_shot(params, split, item_emb, layers, k=k, part=args.part)
-        if params is not None and _trained_on(meta, args.dataset):
-            report = replace(report, model="textgcn-mlp")     # in-domain, not a transfer
+        user_out, item_out, layers, meta = _model_tables(split, args)
+        model = "textgcn-mlp-zero-shot" if args.checkpoint else "textgcn"
+        if args.checkpoint and _trained_on(meta, args.dataset):
+            model = "textgcn-mlp"     # in-domain, not a transfer
+        report = evaluate(split, user_out, item_out, k=k, part=args.part, model=model)
     line = report.to_json()
     print(line)
     if args.out:
@@ -416,8 +418,7 @@ def _quantiles(text: str) -> list[float]:
 
 
 def cmd_tune(args) -> int:
-    cfg = _train_config(args, ("pos_k", "pos_quantile") if args.stage == "pos" else (),
-                        "tune --stage pos")
+    cfg = _train_config(args, f"--stage {args.stage}")
     # sweep defaults come from the resolved run config, so flags like
     # --out-dim set the baseline for parameters not currently being swept
     values = search.BROAD_VALUES
@@ -426,8 +427,6 @@ def cmd_tune(args) -> int:
         # the narrow grid has no shipped lists: its values come from the file alone
         values, defaults = search.load_space(
             args.space, None if args.stage == "grid" else values, defaults)
-    elif args.stage == "grid":
-        raise DataError("tune --stage grid needs --space with the narrow grid")
     quantiles = (search.POS_QUANTILES if args.quantiles is None
                  else _quantiles(args.quantiles))
     corpus, item_emb = _load_corpus(args.dataset, args.embeddings)
@@ -453,8 +452,7 @@ def cmd_recommend(args) -> int:
     if args.out:
         _claim_manifest(Path(args.out).parent, "recommend")
     split = load_split(args.dataset)
-    params, item_emb, layers, _ = _load_model(split, args)
-    user_out, item_out = model_outputs(params, split.train, item_emb, layers)
+    user_out, item_out, layers, _ = _model_tables(split, args)
     lines = []
     for ext in args.users.split(","):
         ext = ext.strip()

@@ -193,5 +193,9 @@ def parse_synthetic_spec(spec: str) -> SyntheticConfig:
         if key not in known:
             raise DataError(f"unknown synthetic spec key {key!r}")
         field_name, cast = known[key]
-        kwargs[field_name] = cast(value)
+        try:
+            kwargs[field_name] = cast(value)
+        except ValueError:
+            kind = "an integer" if cast is int else "a number"
+            raise DataError(f"synthetic spec key {key!r} needs {kind}, got {value!r}") from None
     return SyntheticConfig(**kwargs)

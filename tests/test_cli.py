@@ -1,5 +1,7 @@
+import argparse
 import http.server
 import json
+import re
 import shlex
 import shutil
 import sys
@@ -602,6 +604,29 @@ def test_ingest_flag_the_mode_does_not_read_exit2(synthetic, message, dataset_di
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("clusters:x", "synthetic spec key 'clusters' needs an integer, got 'x'"),
+    ("users:2.5", "synthetic spec key 'users' needs an integer, got '2.5'"),
+    ("purity:high", "synthetic spec key 'purity' needs a number, got 'high'"),
+], ids=["clusters", "users", "purity"])
+def test_ingest_synthetic_value_not_a_number_exit2(spec, message, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["ingest", "--synthetic", spec, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", [["broad"], ["grid", "--space", "space.json"]],
+                         ids=lambda stage: stage[0])
+def test_tune_stage_without_quantiles_refuses_them_exit2(stage, tmp_path, capsys, monkeypatch):
+    # nothing exists: the refusal has to come before anything loads
+    monkeypatch.chdir(tmp_path)
+    assert main(["tune", "--dataset", "absent", "--embeddings", "absent.tge",
+                 "--records", "r", "--stage", *stage, "--quantiles", "0.9"]) == 2
+    assert f"tune --stage {stage[0]} does not read --quantiles" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("k", ["0", "-2"])
 @pytest.mark.parametrize("model", ["textgcn", "pop", "random"])
 def test_evaluate_k_below_one_exit2(model, k, dataset_dir, mock_embeddings, tmp_path,
@@ -995,3 +1020,106 @@ def test_readme_cli_block_parses():
             parser.parse_args(shlex.split(command, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command no longer parses: {command}")
+
+
+# argv that selects each mode of cli._MODES with the flags it needs; nothing exists
+_DATA = ["--dataset", "absent", "--embeddings", "absent.tge"]
+_MODE_ARGV = {
+    ("ingest", "--synthetic"): ["--synthetic", SYNTH, "--out", "o"],
+    ("ingest", "--dataset"): ["--dataset", "absent"],
+    ("embed", "with --mock"): ["--dataset", "absent", "--out", "o/items.tge", "--mock"],
+    ("embed", "without --mock"): ["--dataset", "absent", "--out", "o/items.tge"],
+    ("train", ""): [*_DATA, "--out", "o"],
+    ("train", "--ablation"): [*_DATA, "--out", "o", "--ablation"],
+    ("evaluate", "--model textgcn"): [*_DATA, "--model", "textgcn"],
+    ("evaluate", "--model textgcn (tables)"): ["--dataset", "absent", "--model", "textgcn",
+                                               "--user-emb", "u.tge", "--item-emb", "i.tge"],
+    ("evaluate", "--model mlp"): [*_DATA, "--model", "mlp", "--checkpoint", "ck"],
+    ("evaluate", "--model random"): ["--dataset", "absent", "--model", "random"],
+    ("evaluate", "--model pop"): ["--dataset", "absent", "--model", "pop"],
+    ("tune", "--stage broad"): [*_DATA, "--records", "r", "--stage", "broad"],
+    ("tune", "--stage grid"): [*_DATA, "--records", "r", "--stage", "grid",
+                               "--space", "space.json"],
+    ("tune", "--stage pos"): [*_DATA, "--records", "r", "--stage", "pos"],
+}
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    return next(action.choices for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _mode_cases(pick):
+    return [pytest.param(command, mode, name, id=f"{command} {mode} {name}".replace(" ", "-"))
+            for command, modes in cli._MODES.items()
+            for mode, row in modes.items() for name in pick(modes, *row)]
+
+
+def _run_refused(argv, tmp_path, monkeypatch, capsys) -> str:
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert list(tmp_path.iterdir()) == []     # refused before anything loads or is written
+    return capsys.readouterr().err
+
+
+def test_mode_table_names_are_dests_of_each_command():
+    # a name outside the parser would be an AttributeError, and exit 1
+    assert set(_MODE_ARGV) == {(c, m) for c, modes in cli._MODES.items() for m in modes}
+    subparsers = _subparsers()
+    for command, modes in cli._MODES.items():
+        flags = {action.dest: action.option_strings for action in subparsers[command]._actions}
+        for needs, reads, sets in modes.values():
+            for name in needs + reads:
+                assert _flag(name) in flags.get(name, []), (command, name)
+            for name in sets:
+                assert name in flags, (command, name)
+
+
+@pytest.mark.parametrize("command, mode, name", _mode_cases(
+    lambda modes, needs, reads, sets: [n for row in modes.values() for n in row[0] + row[1]
+                                       if n not in needs + reads]))
+def test_mode_refuses_each_moded_flag_it_does_not_read_exit2(command, mode, name, tmp_path,
+                                                             monkeypatch, capsys):
+    label = f"{command} {mode}".split(" (")[0]
+    refused = name
+    if mode == "--model textgcn" and name in ("user_emb", "item_emb"):
+        refused = "embeddings"      # either one selects the tables mode instead
+    err = _run_refused([command, *_MODE_ARGV[command, mode], _flag(name), "1"],
+                       tmp_path, monkeypatch, capsys)
+    assert f"{label} does not read {_flag(refused)}" in err
+
+
+@pytest.mark.parametrize("command, mode, name", _mode_cases(
+    lambda modes, needs, reads, sets: needs))
+def test_mode_refuses_a_missing_flag_it_needs_exit2(command, mode, name, tmp_path,
+                                                    monkeypatch, capsys):
+    argv = _MODE_ARGV[command, mode]
+    at = argv.index(_flag(name))
+    needs = cli._MODES[command][mode][0]
+    err = _run_refused([command, *argv[:at], *argv[at + 2:]], tmp_path, monkeypatch, capsys)
+    label = f"{command} {mode}".split(" (")[0]
+    assert f"{label} needs {' and '.join(map(_flag, needs))}" in err
+
+
+@pytest.mark.parametrize("command, mode, name", _mode_cases(
+    lambda modes, needs, reads, sets: sets))
+def test_mode_refuses_a_setting_it_sets_itself_exit2(command, mode, name, tmp_path,
+                                                     monkeypatch, capsys):
+    action = next(a for a in _subparsers()[command]._actions if a.dest == name)
+    value = action.choices[0] if action.choices else "1"
+    err = _run_refused([command, *_MODE_ARGV[command, mode], action.option_strings[0],
+                        str(value)], tmp_path, monkeypatch, capsys)
+    assert f"{command} {mode} sets {name} itself" in err
+
+
+def test_readme_cli_section_names_every_parser_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI pipeline", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    parsed = {option for sub in _subparsers().values() for action in sub._actions
+              for option in action.option_strings if option.startswith("--")} - {"--help"}
+    assert documented == parsed
